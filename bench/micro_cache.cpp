@@ -90,6 +90,53 @@ void BM_CacheSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheSimulation);
 
+// The same replay bounded at a quarter of its mean no-ECS peak, so most
+// inserts evict: bounded replay cost per query, one series per policy.
+void BM_CacheSimulationBounded(benchmark::State& state) {
+  measurement::PublicResolverCdnConfig config;
+  config.resolvers = 16;
+  config.duration = 5 * netsim::kMinute;
+  const auto trace = measurement::generate_public_resolver_cdn_trace(config);
+  measurement::CacheSimOptions no_ecs;
+  no_ecs.with_ecs = false;
+  std::size_t peak_sum = 0;
+  for (const auto& row : measurement::simulate_cache(trace, no_ecs).per_resolver) {
+    peak_sum += row.max_cache_size;
+  }
+  measurement::CacheSimOptions options;
+  options.max_entries_per_resolver =
+      std::max<std::size_t>(1, peak_sum / trace.resolvers / 4);
+  options.policy =
+      resolver::kAllEvictionPolicies[static_cast<std::size_t>(state.range(0))];
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(measurement::simulate_cache(trace, options));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(trace.queries.size()));
+  state.SetLabel(resolver::to_string(options.policy));
+}
+BENCHMARK(BM_CacheSimulationBounded)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+
+// The victim order alone at its bound: one hit, one eviction and one
+// insert into the freed slot per iteration.
+void BM_SlotEvictionChurn(benchmark::State& state) {
+  constexpr resolver::SlotEviction::Slot kSlots = 512;
+  const auto policy =
+      resolver::kAllEvictionPolicies[static_cast<std::size_t>(state.range(0))];
+  resolver::SlotEviction order(policy);
+  for (resolver::SlotEviction::Slot s = 0; s < kSlots; ++s) {
+    order.on_insert(static_cast<int>(16 + s % 17));
+  }
+  std::uint32_t i = 0;
+  for (auto _ : state) {
+    order.on_hit((i * 7919) % kSlots);
+    order.on_erase(order.pick_victim());
+    benchmark::DoNotOptimize(order.on_insert(static_cast<int>(16 + i++ % 17)));
+  }
+  state.SetLabel(resolver::to_string(policy));
+}
+BENCHMARK(BM_SlotEvictionChurn)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+
 }  // namespace
 
 // Custom main instead of BENCHMARK_MAIN(): the obs flags

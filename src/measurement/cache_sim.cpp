@@ -1,12 +1,10 @@
 #include "measurement/cache_sim.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <queue>
 #include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "dnscore/contracts.h"
@@ -85,7 +83,7 @@ double CacheSimResult::overall_hit_rate() const {
 // ---------------------------------------------------------------------------
 // Unbounded streaming replay: entries leave only by TTL (the paper's §7
 // assumption). This is the serial path; bounded replays go through
-// BoundedShard below instead.
+// BoundedCacheSim below instead.
 
 StreamingCacheSim::StreamingCacheSim(std::uint32_t resolvers,
                                      const CacheSimOptions& options)
@@ -130,6 +128,106 @@ void StreamingCacheSim::observe(const TraceQuery& q) {
 }
 
 CacheSimResult StreamingCacheSim::finish() {
+  CacheSimResult out;
+  out.per_resolver = std::move(results_);
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// Bounded replay.
+
+namespace {
+constexpr std::uint32_t kNoCache = 0xffffffffu;
+}  // namespace
+
+BoundedCacheSim::BoundedCacheSim(std::uint32_t resolvers,
+                                 const CacheSimOptions& options,
+                                 obs::MetricsRegistry& metrics)
+    : with_ecs_(options.with_ecs),
+      ttl_override_(options.ttl_override),
+      policy_(options.policy),
+      bound_(options.max_entries_per_resolver.value()),
+      evictions_(metrics.counter("cache_sim.capacity_evictions")),
+      eviction_ages_(metrics.histogram("cache_sim.eviction_age_s")),
+      results_(resolvers),
+      cache_index_(resolvers, kNoCache) {
+  for (std::uint32_t r = 0; r < resolvers; ++r) results_[r].resolver = r;
+}
+
+BoundedCacheSim::ResolverCache& BoundedCacheSim::cache_of(std::uint32_t resolver) {
+  std::uint32_t& index = cache_index_.at(resolver);
+  if (index == kNoCache) {
+    index = static_cast<std::uint32_t>(caches_.size());
+    caches_.emplace_back(policy_);
+  }
+  return caches_[index];
+}
+
+void BoundedCacheSim::observe(const TraceQuery& q) {
+  ResolverCache& cache = cache_of(q.resolver);
+  ResolverCacheResult& row = results_[q.resolver];
+  // Retire this resolver's entries that expired by now, skipping records
+  // whose entry was evicted first.
+  auto& expiries = cache.expiries;
+  const auto later = [](const Expiry& a, const Expiry& b) { return a.when > b.when; };
+  while (!expiries.empty() && expiries.front().when <= q.time) {
+    std::pop_heap(expiries.begin(), expiries.end(), later);
+    const Expiry e = expiries.back();
+    expiries.pop_back();
+    if (cache.slab[e.slot].generation == e.generation) release(cache, e.slot);
+  }
+
+  const CacheKey key = cache_key_of(q, with_ecs_);
+  const Live* live = cache.table.find(key);
+  if (live != nullptr && live->expiry > q.time) {
+    ++row.hits;
+    cache.order.on_hit(live->slot);
+    return;
+  }
+  // The sweep retires anything with expiry <= q.time before the probe, so
+  // a miss never finds a stale entry to refresh.
+  ECSDNS_DCHECK(live == nullptr);
+  ++row.misses;
+  const std::uint32_t ttl_s = ttl_override_.value_or(q.ttl_s);
+  // TTL-0 answers are used once and never cached (RFC 1035), mirroring
+  // EcsCache::insert.
+  if (ttl_s == 0) return;
+  // Make room BEFORE inserting, so the bound is never exceeded — not even
+  // transiently — and the incoming entry is not a victim candidate.
+  while (cache.table.size() >= bound_ && !cache.table.empty()) {
+    evict_one(cache, row, q.time);
+  }
+  const SimTime expiry = q.time + static_cast<SimTime>(ttl_s) * netsim::kSecond;
+  const Slot slot = cache.order.on_insert(key.block.length());
+  if (slot >= cache.slab.size()) cache.slab.resize(std::size_t{slot} + 1);
+  Entry& entry = cache.slab[slot];
+  entry.key = key;
+  entry.inserted_at = q.time;
+  cache.table.insert_or_assign(key, Live{expiry, slot});
+  row.max_cache_size = std::max(row.max_cache_size, cache.table.size());
+  expiries.push_back(Expiry{expiry, slot, entry.generation});
+  std::push_heap(expiries.begin(), expiries.end(), later);
+}
+
+void BoundedCacheSim::release(ResolverCache& cache, Slot slot) {
+  Entry& entry = cache.slab[slot];
+  cache.table.erase(entry.key);
+  cache.order.on_erase(slot);
+  ++entry.generation;
+}
+
+void BoundedCacheSim::evict_one(ResolverCache& cache, ResolverCacheResult& row,
+                                SimTime now) {
+  const Slot victim = cache.order.pick_victim();
+  const SimTime inserted_at = cache.slab[victim].inserted_at;
+  const SimTime age = now > inserted_at ? now - inserted_at : 0;
+  eviction_ages_.observe(static_cast<std::uint64_t>(age / netsim::kSecond));
+  release(cache, victim);
+  ++row.premature_evictions;
+  evictions_.inc();
+}
+
+CacheSimResult BoundedCacheSim::finish() {
   CacheSimResult out;
   out.per_resolver = std::move(results_);
   return out;
@@ -383,16 +481,15 @@ class ReplayShard final : public netsim::ShardProgram {
 };
 
 // ---------------------------------------------------------------------------
-// Bounded replay.
+// Sharded bounded replay.
 //
 // A capacity bound couples every key of one resolver through the eviction
 // policy's victim order — but never keys of different resolvers: each
 // resolver owns its cache, its live count, and its policy state. So the
 // unit of partitioning is the resolver (shard_of_id), and each shard
-// replays its own stream instance restricted to the resolvers it owns with
-// policy instances whose decisions are pure functions of that resolver's
-// query sequence. Every shard count — including 1, the serial case — runs
-// this exact code, so serial equivalence holds by construction; no
+// replays its own stream instance through a BoundedCacheSim fed only the
+// resolvers it owns. Every shard count — including 1, the serial case —
+// runs this exact code, so serial equivalence holds by construction; no
 // cross-shard mail, no sortedness requirement.
 class BoundedShard final : public netsim::ShardProgram {
  public:
@@ -401,17 +498,10 @@ class BoundedShard final : public netsim::ShardProgram {
                std::vector<ResolverCacheResult>& results)
       : stream_(std::move(stream)),
         options_(options),
-        index_(index),
-        shards_(shards),
         results_(results),
-        resolvers_(stream_->info().resolvers),
-        exp_(resolvers_),
-        live_(resolvers_, 0),
-        local_(resolvers_) {
-    for (std::uint32_t r = 0; r < resolvers_; ++r) {
-      if (shard_of_id(r, shards_) == index_) {
-        strategy_[r] = resolver::make_eviction_strategy(options_.policy);
-      }
+        owned_(stream_->info().resolvers) {
+    for (std::uint32_t r = 0; r < owned_.size(); ++r) {
+      owned_[r] = shard_of_id(r, shards) == index;
     }
   }
 
@@ -420,146 +510,36 @@ class BoundedShard final : public netsim::ShardProgram {
   void epoch(netsim::ShardContext& ctx, SimTime) override {
     if (done_) return;
     done_ = true;
-    auto& evictions = ctx.metrics().counter("cache_sim.capacity_evictions");
-    auto& ages = ctx.metrics().histogram("cache_sim.eviction_age_s");
+    BoundedCacheSim sim(static_cast<std::uint32_t>(owned_.size()), options_,
+                        ctx.metrics());
     TraceQuery q;
-    for (std::uint64_t seq = 0; stream_->next(q); ++seq) {
-      if (strategy_.find(q.resolver) == strategy_.end()) continue;
-      replay_one(q, seq, evictions, ages);
+    while (stream_->next(q)) {
+      if (owned_[q.resolver]) sim.observe(q);
     }
-    std::uint64_t hit_total = 0;
-    std::uint64_t miss_total = 0;
-    for (const auto& local : local_) {
-      hit_total += local.hits;
-      miss_total += local.misses;
-    }
-    ctx.metrics().counter("cache_sim.queries").inc(hit_total + miss_total);
-    ctx.metrics().counter("cache_sim.hits").inc(hit_total);
-    ctx.metrics().counter("cache_sim.misses").inc(miss_total);
+    result_ = sim.finish();
+    ctx.metrics().counter("cache_sim.queries").inc(result_.total_hits() +
+                                                   result_.total_misses());
+    ctx.metrics().counter("cache_sim.hits").inc(result_.total_hits());
+    ctx.metrics().counter("cache_sim.misses").inc(result_.total_misses());
   }
 
   bool done(const netsim::ShardContext&) const override { return done_; }
 
   void finish(netsim::ShardContext&) override {
     // Serial, in shard-index order: publish owned resolvers' rows.
-    for (std::uint32_t r = 0; r < resolvers_; ++r) {
-      if (shard_of_id(r, shards_) != index_) continue;
-      results_[r].hits = local_[r].hits;
-      results_[r].misses = local_[r].misses;
-      results_[r].max_cache_size = local_[r].peak;
-      results_[r].premature_evictions = local_[r].premature;
+    for (std::uint32_t r = 0; r < owned_.size(); ++r) {
+      if (owned_[r]) results_[r] = result_.per_resolver[r];
     }
   }
 
  private:
-  struct Slot {
-    SimTime expiry = 0;
-    SimTime inserted_at = 0;
-    resolver::EntryId id = 0;
-  };
-  struct PendingExpiry {
-    SimTime when;
-    std::uint64_t seq;
-    CacheKey key;
-  };
-  struct LaterExpiry {
-    bool operator()(const PendingExpiry& a, const PendingExpiry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-  struct LocalTally {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t premature = 0;
-    std::size_t peak = 0;
-  };
-
-  void replay_one(const TraceQuery& q, std::uint64_t seq, obs::Counter& evictions,
-                  obs::Histogram& ages) {
-    const std::uint32_t r = q.resolver;
-    resolver::EvictionStrategy& strategy = *strategy_[r];
-    // Retire this resolver's entries that expired by now. Sweeping per
-    // resolver (not globally) keeps retirement timing a pure function of
-    // the resolver's own query sequence, independent of shard layout.
-    auto& pending = exp_[r];
-    while (!pending.empty() && pending.top().when <= q.time) {
-      const PendingExpiry e = pending.top();
-      pending.pop();
-      const Slot* slot = cache_.find(e.key);
-      // Skip stale records (entry refreshed or already evicted); the reads
-      // happen before the erase relocates the slot.
-      if (slot != nullptr && slot->expiry <= e.when) {
-        strategy.on_erase(slot->id);
-        key_of_id_.erase(slot->id);
-        cache_.erase(e.key);
-        --live_[r];
-      }
-    }
-
-    const CacheKey key = cache_key_of(q, options_.with_ecs);
-    auto& local = local_[r];
-    const Slot* slot = cache_.find(key);
-    if (slot != nullptr && slot->expiry > q.time) {
-      ++local.hits;
-      strategy.on_hit(slot->id);
-      return;
-    }
-    // The sweep retires anything with expiry <= q.time before the probe,
-    // so a miss never finds a stale slot to refresh.
-    ECSDNS_DCHECK(slot == nullptr);
-    ++local.misses;
-    const std::uint32_t ttl_s = options_.ttl_override.value_or(q.ttl_s);
-    // TTL-0 answers are used once and never cached (RFC 1035), mirroring
-    // EcsCache::insert.
-    if (ttl_s == 0) return;
-    // Make room BEFORE inserting, so the bound is never exceeded — not
-    // even transiently — and the incoming entry is not a victim candidate.
-    while (live_[r] >= *options_.max_entries_per_resolver &&
-           strategy.tracked() > 0) {
-      const resolver::EntryId victim = strategy.pick_victim();
-      const auto vkey_it = key_of_id_.find(victim);
-      ECSDNS_DCHECK(vkey_it != key_of_id_.end());
-      const CacheKey vkey = vkey_it->second;
-      const Slot* vslot = cache_.find(vkey);
-      ECSDNS_DCHECK(vslot != nullptr && vslot->id == victim);
-      const SimTime age = q.time > vslot->inserted_at ? q.time - vslot->inserted_at : 0;
-      ages.observe(static_cast<std::uint64_t>(age / netsim::kSecond));
-      strategy.on_erase(victim);
-      key_of_id_.erase(vkey_it);
-      cache_.erase(vkey);
-      --live_[r];
-      ++local.premature;
-      evictions.inc();
-    }
-    const SimTime expiry = q.time + static_cast<SimTime>(ttl_s) * netsim::kSecond;
-    const resolver::EntryId id = next_id_++;
-    cache_.insert_or_assign(key, Slot{expiry, q.time, id});
-    strategy.on_insert(id, resolver::EntryTraits{key.block.length()});
-    key_of_id_[id] = key;
-    ++live_[r];
-    local.peak = std::max(local.peak, live_[r]);
-    pending.push(PendingExpiry{expiry, seq, key});
-  }
-
   std::unique_ptr<TraceStream> stream_;
   const CacheSimOptions& options_;
-  std::size_t index_;
-  std::size_t shards_;
   std::vector<ResolverCacheResult>& results_;
-  std::uint32_t resolvers_;
+  std::vector<bool> owned_;
 
   bool done_ = false;
-  dnscore::FlatHashMap<CacheKey, Slot, CacheKeyHash> cache_;
-  std::unordered_map<std::uint32_t, std::unique_ptr<resolver::EvictionStrategy>>
-      strategy_;
-  std::unordered_map<resolver::EntryId, CacheKey> key_of_id_;
-  resolver::EntryId next_id_ = 1;
-  std::vector<std::priority_queue<PendingExpiry, std::vector<PendingExpiry>,
-                                  LaterExpiry>>
-      exp_;
-  std::vector<std::size_t> live_;
-  std::vector<LocalTally> local_;
+  CacheSimResult result_;
 };
 
 // ---------------------------------------------------------------------------
@@ -715,12 +695,9 @@ CacheSimResult simulate_bounded(const TraceStreamFactory& factory,
 
   auto streams = shard_streams(factory, std::move(probe), shards);
   // Best-effort: a stream that can restrict skips generating foreign
-  // resolvers' queries entirely; the ownership filter below still guards
-  // streams that cannot. Restriction renumbers the per-stream seq, but seq
-  // only tie-breaks expirations within one resolver's queue, and an owned
-  // resolver's queries keep their relative order — results are unchanged
-  // (the bounded cross-validation suite and the committed capacity-sweep
-  // CSV both pin this).
+  // resolvers' queries entirely; the ownership filter in BoundedShard still
+  // guards streams that cannot. An owned resolver's queries keep their
+  // relative order either way, so results are unchanged.
   if (shards > 1) {
     for (std::size_t s = 0; s < shards; ++s) {
       streams[s]->restrict_to_members(s, shards);

@@ -19,11 +19,13 @@
 #include <queue>
 #include <vector>
 
+#include "dnscore/annotations.h"
 #include "dnscore/flat_hash.h"
 #include "dnscore/hashing.h"
 #include "dnscore/ip.h"
 #include "measurement/trace_stream.h"
 #include "measurement/tracegen.h"
+#include "obs/metrics.h"
 #include "resolver/eviction.h"
 
 namespace ecsdns::measurement {
@@ -157,6 +159,70 @@ class StreamingCacheSim {
   std::vector<ResolverCacheResult> results_;
   std::vector<std::size_t> live_;
   std::uint64_t queries_ = 0;
+};
+
+// Incremental bounded replay: every resolver's cache holds at most
+// `options.max_entries_per_resolver` entries, and an insert into a full
+// cache first evicts the victim `options.policy` names (a "premature
+// eviction"). Each resolver owns its cache outright — key table, entry
+// slab, expiry heap, and a resolver::SlotEviction victim order over the
+// slab's dense slots — so once a cache has reached its bound, observe()
+// allocates nothing for it. Expired entries retire per resolver, before
+// each of that resolver's queries, which keeps every row a pure function
+// of its resolver's own query sequence: any partition of resolvers across
+// instances reproduces the serial rows exactly.
+class BoundedCacheSim {
+ public:
+  // Evictions count into `metrics` (cache_sim.capacity_evictions, plus the
+  // entry-age histogram cache_sim.eviction_age_s).
+  BoundedCacheSim(std::uint32_t resolvers, const CacheSimOptions& options,
+                  obs::MetricsRegistry& metrics);
+
+  void observe(const TraceQuery& q);
+  // Per-resolver rows; resolvers never observed keep all-zero rows. Moves
+  // the results out; the instance is spent afterwards.
+  CacheSimResult finish();
+
+ private:
+  using Slot = resolver::SlotEviction::Slot;
+  struct Live {
+    SimTime expiry;
+    Slot slot;
+  };
+  struct Entry {
+    detail::CacheKey key;
+    SimTime inserted_at = 0;
+    std::uint32_t generation = 0;  // bumped whenever the slot is freed
+  };
+  // An expiry record is current iff its slot still holds the generation it
+  // was scheduled for; records of evicted entries go stale.
+  struct Expiry {
+    SimTime when;
+    Slot slot;
+    std::uint32_t generation;
+  };
+  struct ResolverCache {
+    explicit ResolverCache(resolver::EvictionPolicy policy) : order(policy) {}
+    dnscore::FlatHashMap<detail::CacheKey, Live, detail::CacheKeyHash> table;
+    std::vector<Entry> slab;       // indexed by the order's slots
+    std::vector<Expiry> expiries;  // min-heap on `when`
+    resolver::SlotEviction order;
+  };
+
+  ResolverCache& cache_of(std::uint32_t resolver);
+  ECSDNS_NOALLOC void release(ResolverCache& cache, Slot slot);
+  ECSDNS_NOALLOC void evict_one(ResolverCache& cache, ResolverCacheResult& row,
+                                SimTime now);
+
+  bool with_ecs_;
+  std::optional<std::uint32_t> ttl_override_;
+  resolver::EvictionPolicy policy_;
+  std::size_t bound_;
+  obs::Counter& evictions_;
+  obs::Histogram& eviction_ages_;
+  std::vector<ResolverCacheResult> results_;
+  std::vector<std::uint32_t> cache_index_;  // resolver -> caches_ index
+  std::vector<ResolverCache> caches_;
 };
 
 // Replays one logical stream, constructing one instance per shard from the

@@ -22,9 +22,7 @@ std::size_t approx_entry_bytes(const Name& qname, const CacheEntry& entry) {
 EcsCache::EcsCache() { register_metrics(); }
 
 EcsCache::EcsCache(CacheConfig config) : config_(config) {
-  if (config_.bounded()) {
-    strategy_ = make_eviction_strategy(config_.policy);
-  }
+  if (config_.bounded()) eviction_ = std::make_unique<Eviction>(config_.policy);
   register_metrics();
 }
 
@@ -100,7 +98,7 @@ const CacheEntry* EcsCache::lookup(const Name& qname, RRType qtype,
           // of deferring to the next purge_expired().
           note_expirations(bucket.erase_if([&](const auto& slot) {
             if (slot.value.expiry > now) return false;
-            if (strategy_ != nullptr) forget_entry(slot.value);
+            if (eviction_) forget_entry(slot.value);
             return true;
           }));
         } else if (best == nullptr) {
@@ -125,7 +123,7 @@ const CacheEntry* EcsCache::lookup(const Name& qname, RRType qtype,
     // flag agrees with its prefix length.
     ECSDNS_DCHECK(best->expiry > now);
     ECSDNS_DCHECK(best->global == (best->network.length() == 0));
-    if (strategy_ != nullptr) strategy_->on_hit(best->id);
+    if (eviction_) eviction_->order.on_hit(static_cast<SlotEviction::Slot>(best->id));
     ++stats_.hits;
     metrics_.hits.inc();
   } else {
@@ -163,9 +161,9 @@ void EcsCache::insert(const Name& qname, RRType qtype, const Prefix& network,
   entry.expiry = now + ttl;
   const auto key = entry.global ? Prefix{} : network;
   entry.approx_bytes = approx_entry_bytes(qname, entry);
-  if (strategy_ != nullptr) {
+  if (eviction_) {
     // A same-network insert replaces the old entry; retire its eviction
-    // state before insert_or_assign overwrites (and forgets) its id. The
+    // state before insert_or_assign overwrites (and forgets) its slot. The
     // bucket reference is scoped: make_room below relocates the table.
     bool replacing = false;
     {
@@ -175,11 +173,15 @@ void EcsCache::insert(const Name& qname, RRType qtype, const Prefix& network,
         replacing = true;
       }
     }
-    entry.id = next_id_++;
+    // Room first, then the slot: a victim's slot is recycled at once, so
+    // the slab never outgrows the bound.
     make_room(replacing ? 0 : 1, entry.approx_bytes, now);
+    const SlotEviction::Slot slot = eviction_->order.on_insert(network.length());
+    auto& slots = eviction_->slots;
+    if (slot >= slots.size()) slots.resize(std::size_t{slot} + 1);
+    slots[slot] = EntryLoc{qname, qtype, key, network.length()};
+    entry.id = slot;
     live_bytes_ += entry.approx_bytes;
-    strategy_->on_insert(entry.id, EntryTraits{network.length()});
-    index_[entry.id] = EntryLoc{qname, qtype, key, network.length()};
   }
   auto& bucket = map_[Key{qname, qtype}].bucket_for(network.length());
   const auto [slot, inserted] = bucket.entries.insert_or_assign(key, std::move(entry));
@@ -205,7 +207,7 @@ void EcsCache::purge_expired(SimTime now) {
     for (auto bucket_it = buckets.begin(); bucket_it != buckets.end();) {
       note_expirations(bucket_it->entries.erase_if([&](const auto& e) {
         if (e.value.expiry > now) return false;
-        if (strategy_ != nullptr) forget_entry(e.value);
+        if (eviction_) forget_entry(e.value);
         return true;
       }));
       if (bucket_it->entries.empty()) {
@@ -242,10 +244,7 @@ void EcsCache::clear() {
   metrics_.live_entries.add(-static_cast<std::int64_t>(live_entries_));
   live_entries_ = 0;
   live_bytes_ = 0;
-  if (strategy_ != nullptr) {
-    strategy_->clear();
-    index_.clear();
-  }
+  if (eviction_) eviction_->order.clear();
 }
 
 void EcsCache::note_size() {
@@ -261,9 +260,8 @@ void EcsCache::note_expirations(std::size_t n) {
 }
 
 void EcsCache::forget_entry(const CacheEntry& entry) {
-  ECSDNS_DCHECK(strategy_ != nullptr);
-  strategy_->on_erase(entry.id);
-  index_.erase(entry.id);
+  ECSDNS_DCHECK(eviction_ != nullptr);
+  eviction_->order.on_erase(static_cast<SlotEviction::Slot>(entry.id));
   ECSDNS_DCHECK(live_bytes_ >= entry.approx_bytes);
   live_bytes_ -= entry.approx_bytes;
 }
@@ -284,14 +282,14 @@ void EcsCache::make_room(std::size_t incoming_entries, std::size_t incoming_byte
   // tracked() can hit zero while the bound is still exceeded (a single
   // entry larger than the byte budget); the entry is stored anyway — the
   // bound is a target, not a hard allocator limit.
-  while (strategy_->tracked() > 0 && exceeds()) evict_victim(now);
+  while (eviction_->order.tracked() > 0 && exceeds()) evict_victim(now);
 }
 
 void EcsCache::evict_victim(SimTime now) {
-  const EntryId victim = strategy_->pick_victim();
-  const auto loc_it = index_.find(victim);
-  ECSDNS_DCHECK(loc_it != index_.end());
-  const EntryLoc loc = loc_it->second;
+  const SlotEviction::Slot victim = eviction_->order.pick_victim();
+  // forget_entry only frees the slot, so `loc` stays intact until the next
+  // insert.
+  const EntryLoc& loc = eviction_->slots[victim];
   QuestionEntries* question =
       map_.find_with(Key::hash_of(loc.qname, loc.qtype), [&](const Key& k) {
         return k.qtype == loc.qtype && k.qname == loc.qname;

@@ -11,7 +11,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dnscore/annotations.h"
@@ -42,7 +41,7 @@ struct CacheEntry {
   std::uint8_t scope = 0;  // scope to echo to clients (RFC 7871 §7.2.1)
   SimTime inserted_at = 0;
   SimTime expiry = 0;
-  EntryId id = 0;  // eviction handle; 0 in unbounded caches
+  EntryId id = 0;  // SlotEviction slot; unused in unbounded caches
   std::size_t approx_bytes = 0;  // deterministic sizeof-based estimate
 };
 
@@ -159,9 +158,9 @@ class EcsCache {
     obs::GaugeHandle live_entries;
   };
 
-  // Where a live entry sits, so a victim named by id can be erased without
-  // scanning. Maintained only when bounded — the unbounded hot path (the
-  // perf-gated §7 replay) never touches it.
+  // Where a live entry sits, so a victim named by slot can be erased
+  // without scanning. Maintained only when bounded — the unbounded hot path
+  // (the perf-gated §7 replay) never touches it.
   struct EntryLoc {
     Name qname;
     RRType qtype = RRType::A;
@@ -171,9 +170,16 @@ class EcsCache {
 
   dnscore::FlatHashMap<Key, QuestionEntries, KeyHash> map_;
   CacheConfig config_;
-  std::unique_ptr<EvictionStrategy> strategy_;  // null when unbounded
-  std::unordered_map<EntryId, EntryLoc> index_;
-  EntryId next_id_ = 1;
+  // Bounded-only state, allocated once by the bounded constructor: the
+  // victim order, which hands out each live entry's slot (CacheEntry::id),
+  // and the slab locating the entry in each slot. Slots are recycled, so
+  // the slab stops growing at the bound.
+  struct Eviction {
+    explicit Eviction(EvictionPolicy policy) : order(policy) {}
+    SlotEviction order;
+    std::vector<EntryLoc> slots;
+  };
+  std::unique_ptr<Eviction> eviction_;  // null when unbounded
   CacheStats stats_;
   std::size_t live_entries_ = 0;
   std::size_t live_bytes_ = 0;
@@ -182,8 +188,9 @@ class EcsCache {
   void register_metrics();
   void note_size();
   void note_expirations(std::size_t n);
-  // Drops a live entry from the eviction bookkeeping (strategy + id index +
-  // byte accounting). No-op stats-wise; callers count the exit themselves.
+  // Drops a live entry from the eviction bookkeeping (victim order and its
+  // slot, byte accounting). No-op stats-wise; callers count the exit
+  // themselves.
   // The eviction path runs inside insert(), i.e. on the resolution hot
   // path, and only ever shrinks structures — it must not allocate.
   ECSDNS_NOALLOC void forget_entry(const CacheEntry& entry);

@@ -1,8 +1,10 @@
 #include "resolver/eviction.h"
 
-#include <list>
+#include <algorithm>
+#include <bit>
 
 #include "dnscore/contracts.h"
+#include "dnscore/hashing.h"
 
 namespace ecsdns::resolver {
 
@@ -24,224 +26,212 @@ std::optional<EvictionPolicy> eviction_policy_from_string(const std::string& tex
   return std::nullopt;
 }
 
-namespace {
+SlotEviction::SlotEviction(EvictionPolicy policy)
+    : policy_(policy),
+      lists_(policy == EvictionPolicy::kScopeAware ? kMaxScope + 1 : 1) {}
 
-// LRU: victim is the entry with the oldest access stamp. The stamp is an
-// internal logical clock (one tick per insert/hit), so victim order depends
-// only on the event sequence, never on EntryId values.
-class LruStrategy final : public EvictionStrategy {
- public:
-  void on_insert(EntryId id, const EntryTraits&) override { touch(id); }
-
-  void on_hit(EntryId id) override {
-    ECSDNS_DCHECK(stamp_of_.count(id) != 0);
-    order_.erase(stamp_of_[id]);
-    touch(id);
+SlotEviction::Slot SlotEviction::on_insert(int scope_bits) {
+  Slot slot = free_slot_;
+  if (slot != kNil) {
+    free_slot_ = links_[slot].next;
+  } else {
+    slot = static_cast<Slot>(links_.size());
+    links_.emplace_back();
   }
-
-  void on_erase(EntryId id) override {
-    auto it = stamp_of_.find(id);
-    ECSDNS_DCHECK(it != stamp_of_.end());
-    order_.erase(it->second);
-    stamp_of_.erase(it);
+  ++tracked_;
+  if (policy_ == EvictionPolicy::kLfu) {
+    // At most one bucket per tracked entry: reserving here keeps
+    // lfu_new_bucket from ever reallocating on the hit path.
+    if (buckets_.capacity() < links_.capacity()) buckets_.reserve(links_.capacity());
+    std::uint32_t bucket = first_bucket_;
+    if (bucket == kNil || buckets_[bucket].freq != 1) bucket = lfu_new_bucket(1, kNil);
+    links_[slot].aux = bucket;
+    append(buckets_[bucket].entries, slot);
+    return slot;
   }
+  // Scope-aware keeps one LRU list per prefix length; LRU and SIEVE keep
+  // everything in list 0, so for LRU the scope-aware victim rule (longest
+  // nonempty length first) reduces to the head of list 0.
+  ECSDNS_DCHECK(scope_bits >= 0 && scope_bits <= kMaxScope);
+  const std::uint32_t list =
+      policy_ == EvictionPolicy::kScopeAware ? static_cast<std::uint32_t>(scope_bits) : 0;
+  links_[slot].aux = list;  // SIEVE: visited bit clear
+  append(lists_[list], slot);
+  nonempty_[list / 64] |= std::uint64_t{1} << (list % 64);
+  return slot;
+}
 
-  EntryId pick_victim() override {
-    ECSDNS_DCHECK(!order_.empty());
-    return order_.begin()->second;
+void SlotEviction::on_hit(Slot slot) {
+  if (policy_ == EvictionPolicy::kLfu) {
+    lfu_hit(slot);
+  } else if (policy_ == EvictionPolicy::kSieve) {
+    // Hits only set a bit — no list surgery — which is what makes SIEVE
+    // cheap.
+    links_[slot].aux |= kVisited;
+  } else {
+    List& list = lists_[links_[slot].aux];
+    unlink(list, slot);
+    append(list, slot);
   }
+}
 
-  void clear() override {
-    order_.clear();
-    stamp_of_.clear();
+void SlotEviction::on_erase(Slot slot) {
+  ECSDNS_DCHECK(tracked_ > 0);
+  --tracked_;
+  if (policy_ == EvictionPolicy::kLfu) {
+    const std::uint32_t bucket = links_[slot].aux;
+    unlink(buckets_[bucket].entries, slot);
+    lfu_drop_if_empty(bucket);
+  } else {
+    // If the SIEVE hand rests on the erased entry, it advances to the next
+    // survivor toward the newest end; the sweep continues from there
+    // whatever the reason the entry left, so the outcome is independent of
+    // erase order.
+    if (hand_ == slot) hand_ = links_[slot].next;
+    const std::uint32_t list = links_[slot].aux & ~kVisited;
+    unlink(lists_[list], slot);
+    if (lists_[list].empty()) nonempty_[list / 64] &= ~(std::uint64_t{1} << (list % 64));
   }
+  links_[slot].next = free_slot_;
+  free_slot_ = slot;
+}
 
-  std::size_t tracked() const override { return stamp_of_.size(); }
-
- private:
-  void touch(EntryId id) {
-    const std::uint64_t stamp = clock_++;
-    order_[stamp] = id;
-    stamp_of_[id] = stamp;
-  }
-
-  std::uint64_t clock_ = 0;
-  std::map<std::uint64_t, EntryId> order_;  // stamp -> id, oldest first
-  std::unordered_map<EntryId, std::uint64_t> stamp_of_;
-};
-
-// LFU: victim is the least-frequently-hit entry; ties break toward the
-// least recently used (oldest stamp) so the order is total and stable.
-class LfuStrategy final : public EvictionStrategy {
- public:
-  void on_insert(EntryId id, const EntryTraits&) override { place(id, 1); }
-
-  void on_hit(EntryId id) override {
-    auto it = rank_of_.find(id);
-    ECSDNS_DCHECK(it != rank_of_.end());
-    const std::uint64_t freq = it->second.first;
-    order_.erase(it->second);
-    place(id, freq + 1);
-  }
-
-  void on_erase(EntryId id) override {
-    auto it = rank_of_.find(id);
-    ECSDNS_DCHECK(it != rank_of_.end());
-    order_.erase(it->second);
-    rank_of_.erase(it);
-  }
-
-  EntryId pick_victim() override {
-    ECSDNS_DCHECK(!order_.empty());
-    return order_.begin()->second;
-  }
-
-  void clear() override {
-    order_.clear();
-    rank_of_.clear();
-  }
-
-  std::size_t tracked() const override { return rank_of_.size(); }
-
- private:
-  using Rank = std::pair<std::uint64_t, std::uint64_t>;  // (freq, stamp)
-
-  void place(EntryId id, std::uint64_t freq) {
-    const Rank rank{freq, clock_++};
-    order_[rank] = id;
-    rank_of_[id] = rank;
-  }
-
-  std::uint64_t clock_ = 0;
-  std::map<Rank, EntryId> order_;  // lowest (freq, stamp) first
-  std::unordered_map<EntryId, Rank> rank_of_;
-};
-
-// SIEVE (Zhang et al., NSDI'24), the core of S3-FIFO's small queue: a FIFO
-// with one visited bit per entry and a hand that sweeps from the oldest
-// entry toward the newest. Visited entries get a second chance (bit
-// cleared, hand moves on); the first unvisited entry is the victim. Hits
-// only set a bit — no list surgery — which is what makes SIEVE cheap; the
-// hand's position persists across evictions.
-class SieveStrategy final : public EvictionStrategy {
- public:
-  void on_insert(EntryId id, const EntryTraits&) override {
-    queue_.push_back(Node{id, false});
-    where_[id] = std::prev(queue_.end());
-  }
-
-  void on_hit(EntryId id) override {
-    auto it = where_.find(id);
-    ECSDNS_DCHECK(it != where_.end());
-    it->second->visited = true;
-  }
-
-  void on_erase(EntryId id) override {
-    auto it = where_.find(id);
-    ECSDNS_DCHECK(it != where_.end());
-    // If the hand rests on the erased node, advance it to the next survivor
-    // toward the newest end; the sweep continues from there regardless of
-    // why the node left, so the outcome is independent of erase order.
-    if (hand_ == it->second) ++hand_;
-    queue_.erase(it->second);
-    where_.erase(it);
-  }
-
-  EntryId pick_victim() override {
-    ECSDNS_DCHECK(!queue_.empty());
-    if (hand_ == queue_.end()) hand_ = queue_.begin();
-    while (hand_->visited) {
-      hand_->visited = false;
-      if (++hand_ == queue_.end()) hand_ = queue_.begin();
+SlotEviction::Slot SlotEviction::pick_victim() {
+  ECSDNS_DCHECK(tracked_ > 0);
+  if (policy_ == EvictionPolicy::kLfu) return buckets_[first_bucket_].entries.head;
+  if (policy_ != EvictionPolicy::kSieve) {
+    // Longest nonempty prefix length first (global /0 last), oldest touch
+    // within it.
+    for (std::size_t word = nonempty_.size(); word-- > 0;) {
+      if (nonempty_[word] != 0) {
+        return lists_[64 * word + std::bit_width(nonempty_[word]) - 1].head;
+      }
     }
-    return hand_->id;
   }
-
-  void clear() override {
-    queue_.clear();
-    where_.clear();
-    hand_ = queue_.end();
+  // SIEVE (Zhang et al., NSDI'24): the hand sweeps from the oldest entry
+  // toward the newest, wrapping around. Visited entries get a second
+  // chance (bit cleared, hand moves on); the first unvisited entry is the
+  // victim. The hand's position persists across evictions.
+  const Slot oldest = lists_[0].head;
+  if (hand_ == kNil) hand_ = oldest;
+  while ((links_[hand_].aux & kVisited) != 0) {
+    links_[hand_].aux &= ~kVisited;
+    hand_ = links_[hand_].next;
+    if (hand_ == kNil) hand_ = oldest;
   }
+  return hand_;
+}
 
-  std::size_t tracked() const override { return where_.size(); }
+void SlotEviction::clear() {
+  tracked_ = 0;
+  links_.clear();
+  std::fill(lists_.begin(), lists_.end(), List{});
+  hand_ = kNil;
+  free_slot_ = kNil;
+  nonempty_ = {};
+  buckets_.clear();
+  first_bucket_ = kNil;
+  free_bucket_ = kNil;
+}
 
- private:
-  struct Node {
-    EntryId id;
-    bool visited;
-  };
+void SlotEviction::append(List& list, Slot slot) {
+  links_[slot].prev = list.tail;
+  links_[slot].next = kNil;
+  (list.tail == kNil ? list.head : links_[list.tail].next) = slot;
+  list.tail = slot;
+}
 
-  std::list<Node> queue_;  // front = oldest, back = newest
-  std::list<Node>::iterator hand_ = queue_.end();
-  std::unordered_map<EntryId, std::list<Node>::iterator> where_;
-};
+void SlotEviction::unlink(List& list, Slot slot) {
+  const Link& link = links_[slot];
+  (link.prev == kNil ? list.head : links_[link.prev].next) = link.next;
+  (link.next == kNil ? list.tail : links_[link.next].prev) = link.prev;
+}
 
-// Scope-aware: under ECS blow-up a question accumulates many overlapping
-// scoped entries plus (often) one broad or global answer that covers most
-// clients. Evicting the most-specific prefixes first collapses the overlap
-// while the shortest covering entry — the one that can still answer the
-// widest client population — survives longest; /0 (global) entries go
-// last. Within one prefix length the tie breaks LRU.
-class ScopeAwareStrategy final : public EvictionStrategy {
- public:
-  void on_insert(EntryId id, const EntryTraits& traits) override {
-    place(id, traits.scope_bits);
+// A hit moves the entry from its bucket (frequency f) to the tail of the
+// f+1 bucket. Buckets stay in ascending frequency and each bucket in touch
+// order, so the head of the first bucket is exactly the minimum of
+// (frequency, last touch) — the victim order of LFU with an LRU tie-break.
+void SlotEviction::lfu_hit(Slot slot) {
+  const std::uint32_t from = links_[slot].aux;
+  const std::uint64_t freq = buckets_[from].freq + 1;
+  std::uint32_t to = buckets_[from].next;
+  if (to == kNil || buckets_[to].freq != freq) {
+    const List& entries = buckets_[from].entries;
+    if (entries.head == entries.tail) {
+      // Sole member: its bucket can take the new frequency in place and
+      // still sit strictly between its neighbours.
+      buckets_[from].freq = freq;
+      return;
+    }
+    to = lfu_new_bucket(freq, from);
   }
+  unlink(buckets_[from].entries, slot);
+  lfu_drop_if_empty(from);
+  links_[slot].aux = to;
+  append(buckets_[to].entries, slot);
+}
 
-  void on_hit(EntryId id) override {
-    auto it = rank_of_.find(id);
-    ECSDNS_DCHECK(it != rank_of_.end());
-    const int neg_scope = it->second.first;
-    order_.erase(it->second);
-    place(id, -neg_scope);
+void SlotEviction::lfu_drop_if_empty(std::uint32_t bucket) {
+  Bucket& b = buckets_[bucket];
+  if (!b.entries.empty()) return;
+  (b.prev == kNil ? first_bucket_ : buckets_[b.prev].next) = b.next;
+  if (b.next != kNil) buckets_[b.next].prev = b.prev;
+  b.next = free_bucket_;
+  free_bucket_ = bucket;
+}
+
+// Links a bucket of `freq` after `after` (kNil = at the front), recycling a
+// dropped bucket when one is free.
+std::uint32_t SlotEviction::lfu_new_bucket(std::uint64_t freq, std::uint32_t after) {
+  std::uint32_t bucket = free_bucket_;
+  if (bucket != kNil) {
+    free_bucket_ = buckets_[bucket].next;
+  } else {
+    bucket = static_cast<std::uint32_t>(buckets_.size());
+    // ecstidy:allow(noalloc): stays within the capacity on_insert reserved
+    // (one bucket per tracked entry at most), so it never reallocates.
+    buckets_.emplace_back();
   }
+  const std::uint32_t next = after == kNil ? first_bucket_ : buckets_[after].next;
+  buckets_[bucket] = Bucket{freq, List{}, after, next};
+  if (next != kNil) buckets_[next].prev = bucket;
+  (after == kNil ? first_bucket_ : buckets_[after].next) = bucket;
+  return bucket;
+}
 
-  void on_erase(EntryId id) override {
-    auto it = rank_of_.find(id);
-    ECSDNS_DCHECK(it != rank_of_.end());
-    order_.erase(it->second);
-    rank_of_.erase(it);
-  }
+std::size_t EvictionStrategy::IdHash::operator()(EntryId id) const noexcept {
+  return static_cast<std::size_t>(dnscore::mix64(id));
+}
 
-  EntryId pick_victim() override {
-    ECSDNS_DCHECK(!order_.empty());
-    return order_.begin()->second;
-  }
+SlotEviction::Slot EvictionStrategy::slot_of(EntryId id) const {
+  const SlotEviction::Slot* slot = slot_of_.find(id);
+  ECSDNS_CHECK(slot != nullptr);
+  return *slot;
+}
 
-  void clear() override {
-    order_.clear();
-    rank_of_.clear();
-  }
+void EvictionStrategy::on_insert(EntryId id, const EntryTraits& traits) {
+  const SlotEviction::Slot slot = order_.on_insert(traits.scope_bits);
+  if (slot >= id_of_.size()) id_of_.resize(std::size_t{slot} + 1);
+  id_of_[slot] = id;
+  slot_of_.insert_or_assign(id, slot);
+}
 
-  std::size_t tracked() const override { return rank_of_.size(); }
+void EvictionStrategy::on_hit(EntryId id) { order_.on_hit(slot_of(id)); }
 
- private:
-  // (-scope_bits, stamp): longest prefixes sort first, global (/0) last,
-  // oldest stamp first within a length.
-  using Rank = std::pair<int, std::uint64_t>;
+void EvictionStrategy::on_erase(EntryId id) {
+  order_.on_erase(slot_of(id));
+  slot_of_.erase(id);
+}
 
-  void place(EntryId id, int scope_bits) {
-    const Rank rank{-scope_bits, clock_++};
-    order_[rank] = id;
-    rank_of_[id] = rank;
-  }
+EntryId EvictionStrategy::pick_victim() { return id_of_[order_.pick_victim()]; }
 
-  std::uint64_t clock_ = 0;
-  std::map<Rank, EntryId> order_;
-  std::unordered_map<EntryId, Rank> rank_of_;
-};
-
-}  // namespace
+void EvictionStrategy::clear() {
+  order_.clear();
+  slot_of_.clear();
+}
 
 std::unique_ptr<EvictionStrategy> make_eviction_strategy(EvictionPolicy policy) {
-  switch (policy) {
-    case EvictionPolicy::kLru: return std::make_unique<LruStrategy>();
-    case EvictionPolicy::kLfu: return std::make_unique<LfuStrategy>();
-    case EvictionPolicy::kSieve: return std::make_unique<SieveStrategy>();
-    case EvictionPolicy::kScopeAware: return std::make_unique<ScopeAwareStrategy>();
-  }
-  ECSDNS_CHECK(false);
-  return nullptr;
+  return std::make_unique<EvictionStrategy>(policy);
 }
 
 }  // namespace ecsdns::resolver

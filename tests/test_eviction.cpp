@@ -1,7 +1,8 @@
 // Eviction-policy conformance: per-policy victim order, capacity
 // enforcement in the bounded EcsCache (entry and byte bounds, scope-aware
-// collapse), the cache accounting identity, and a randomized differential
-// test of every strategy against a naive reference model.
+// collapse), the cache accounting identity, and randomized differential
+// tests of every policy — alone and inside the bounded trace replay —
+// against a naive reference model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "measurement/cache_sim.h"
+#include "measurement/tracegen.h"
 #include "netsim/rng.h"
 #include "resolver/cache.h"
 #include "resolver/eviction.h"
@@ -131,7 +134,12 @@ class ReferenceStrategy {
   explicit ReferenceStrategy(EvictionPolicy policy) : policy_(policy) {}
 
   void insert(EntryId id, int scope) {
+    // A SIEVE hand past the newest entry (its entry was the newest and
+    // left) stays past the end: the next sweep restarts at the oldest, not
+    // at whatever was inserted since.
+    const bool hand_past_end = hand_ >= order_.size();
     order_.push_back(RefEntry{id, scope, clock_++, 1, false});
+    if (hand_past_end) hand_ = order_.size();
   }
 
   void hit(EntryId id) {
@@ -244,6 +252,107 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 7u, 42u)),
     [](const auto& info) {
       return to_string(std::get<0>(info.param)) + "_seed" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+// ---------------------------------------------------------------------------
+// Bounded replay differential: the slab/heap/slot-indexed replay against a
+// naive one that keeps each resolver's live entries in a vector, expires
+// them by scanning, and asks ReferenceStrategy for every victim.
+
+measurement::CacheSimResult naive_bounded_replay(
+    const measurement::Trace& trace, const measurement::CacheSimOptions& options) {
+  struct Live {
+    measurement::detail::CacheKey key;
+    netsim::SimTime expiry;
+    EntryId id;
+  };
+  struct PerResolver {
+    explicit PerResolver(EvictionPolicy policy) : order(policy) {}
+    ReferenceStrategy order;
+    std::vector<Live> live;
+  };
+  std::vector<PerResolver> caches(trace.resolvers, PerResolver(options.policy));
+  measurement::CacheSimResult out;
+  out.per_resolver.resize(trace.resolvers);
+  for (std::uint32_t r = 0; r < trace.resolvers; ++r) out.per_resolver[r].resolver = r;
+  EntryId next_id = 1;
+  for (const auto& q : trace.queries) {
+    auto& cache = caches[q.resolver];
+    auto& row = out.per_resolver[q.resolver];
+    std::erase_if(cache.live, [&](const Live& e) {
+      if (e.expiry > q.time) return false;
+      cache.order.erase(e.id);
+      return true;
+    });
+    const auto key = measurement::detail::cache_key_of(q, options.with_ecs);
+    const auto hit = std::find_if(cache.live.begin(), cache.live.end(),
+                                  [&](const Live& e) { return e.key == key; });
+    if (hit != cache.live.end()) {
+      ++row.hits;
+      cache.order.hit(hit->id);
+      continue;
+    }
+    ++row.misses;
+    const std::uint32_t ttl_s = options.ttl_override.value_or(q.ttl_s);
+    if (ttl_s == 0) continue;
+    while (cache.live.size() >= *options.max_entries_per_resolver) {
+      const EntryId victim = cache.order.victim();
+      cache.order.erase(victim);
+      std::erase_if(cache.live, [&](const Live& e) { return e.id == victim; });
+      ++row.premature_evictions;
+    }
+    const EntryId id = next_id++;
+    cache.order.insert(id, key.block.length());
+    const netsim::SimTime expiry = q.time + static_cast<netsim::SimTime>(ttl_s) * kSecond;
+    cache.live.push_back(Live{key, expiry, id});
+    row.max_cache_size = std::max(row.max_cache_size, cache.live.size());
+  }
+  return out;
+}
+
+class BoundedReplayDifferential
+    : public ::testing::TestWithParam<std::tuple<EvictionPolicy, std::size_t>> {};
+
+TEST_P(BoundedReplayDifferential, MatchesNaiveReplay) {
+  const auto [policy, bound] = GetParam();
+  measurement::PublicResolverCdnConfig config;
+  config.resolvers = 6;
+  config.min_qps = 20;
+  config.max_qps = 60;
+  config.duration = 90 * kSecond;
+  config.seed = 11;
+  const measurement::Trace trace =
+      measurement::generate_public_resolver_cdn_trace(config);
+  measurement::CacheSimOptions options;
+  options.with_ecs = true;
+  options.max_entries_per_resolver = bound;
+  options.policy = policy;
+  const measurement::CacheSimResult want = naive_bounded_replay(trace, options);
+  std::uint64_t evictions = 0;
+  for (const std::size_t shards : {1u, 3u}) {
+    options.shards = shards;
+    const measurement::CacheSimResult got = measurement::simulate_cache(trace, options);
+    ASSERT_EQ(got.per_resolver.size(), want.per_resolver.size());
+    for (std::size_t r = 0; r < want.per_resolver.size(); ++r) {
+      const auto& g = got.per_resolver[r];
+      const auto& w = want.per_resolver[r];
+      EXPECT_EQ(g.hits, w.hits) << "resolver " << r << ", " << shards << " shard(s)";
+      EXPECT_EQ(g.misses, w.misses) << "resolver " << r;
+      EXPECT_EQ(g.max_cache_size, w.max_cache_size) << "resolver " << r;
+      EXPECT_EQ(g.premature_evictions, w.premature_evictions) << "resolver " << r;
+      evictions += g.premature_evictions;
+    }
+  }
+  EXPECT_GT(evictions, 0u) << "the bound never bit; the test is vacuous";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, BoundedReplayDifferential,
+    ::testing::Combine(::testing::ValuesIn(kAllEvictionPolicies),
+                       ::testing::Values(std::size_t{3}, std::size_t{40})),
+    [](const auto& info) {
+      return to_string(std::get<0>(info.param)) + "_bound" +
              std::to_string(std::get<1>(info.param));
     });
 

@@ -56,6 +56,11 @@ struct ClassificationCase {
   bool unroutable;
 };
 
+// Prints a case as its address text. The default printer dumps the raw
+// bytes, pointer and padding included, which makes the discovered test
+// names differ from one build or run to the next.
+void PrintTo(const ClassificationCase& c, std::ostream* os) { *os << c.text; }
+
 class Classification : public ::testing::TestWithParam<ClassificationCase> {};
 
 TEST_P(Classification, Matches) {

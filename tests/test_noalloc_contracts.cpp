@@ -16,9 +16,12 @@
 #include "dnscore/wire.h"
 #include "live/client.h"
 #include "live/udp_server.h"
+#include "measurement/cache_sim.h"
 #include "netsim/buffer_pool.h"
 #include "netsim/socket.h"
 #include "obs/alloc_counter.h"
+#include "resolver/cache.h"
+#include "resolver/eviction.h"
 
 namespace ecsdns {
 namespace {
@@ -191,6 +194,107 @@ TEST(LiveWireNoalloc, ClientSubmitPollSteadyStateIsAllocationFree) {
   for (int i = 0; i < 200; ++i) round();
   EXPECT_EQ(allocs(), before) << "steady-state client loop allocated";
 }
+
+// Bounded caches: once a cache has filled to its bound, every further event
+// — hit, capacity eviction, expiry, insert into a recycled slot — runs on
+// the slot-indexed structures it already owns.
+class BoundedNoalloc : public ::testing::TestWithParam<resolver::EvictionPolicy> {};
+
+TEST_P(BoundedNoalloc, SlotEvictionChurnIsAllocationFree) {
+  constexpr resolver::SlotEviction::Slot kSlots = 64;
+  resolver::SlotEviction order(GetParam());
+  for (resolver::SlotEviction::Slot s = 0; s < kSlots; ++s) {
+    ASSERT_EQ(order.on_insert(static_cast<int>(s % 33)), s);
+  }
+  const auto churn = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      const auto hot = static_cast<resolver::SlotEviction::Slot>(i * 7) % kSlots;
+      order.on_hit(hot);
+      order.on_hit(hot);
+      const resolver::SlotEviction::Slot victim = order.pick_victim();
+      order.on_erase(victim);
+      ASSERT_EQ(order.on_insert(i % 33), victim) << "freed slot not recycled";
+    }
+  };
+  churn(256);  // warm-up: LFU frequencies spread over their buckets
+  const auto before = allocs();
+  churn(4096);
+  EXPECT_EQ(allocs(), before) << resolver::to_string(GetParam());
+  EXPECT_EQ(order.tracked(), kSlots);
+}
+
+TEST_P(BoundedNoalloc, EcsCacheInsertAndLookupSteadyStateIsAllocationFree) {
+  constexpr int kWarmup = 256;
+  constexpr int kMeasured = 1024;
+  resolver::CacheConfig config;
+  config.capacity_entries = 64;
+  config.policy = GetParam();
+  resolver::EcsCache cache(config);
+  const Name qname = Name::from_string("www.noalloc.example");
+  // Record sets are built up front: the caller's vector moves into the
+  // cache, so the measured window holds only the cache's own work.
+  std::vector<std::vector<dnscore::ResourceRecord>> answers(kWarmup + kMeasured);
+  for (auto& a : answers) {
+    a.push_back(dnscore::ResourceRecord::make_a(
+        qname, 20, dnscore::IpAddress::v4(203, 0, 113, 1)));
+  }
+  const auto step = [&](int i) {
+    const auto block = dnscore::IpAddress::v4(static_cast<std::uint32_t>(i) << 8);
+    const netsim::SimTime now = i * netsim::kMillisecond;
+    cache.insert(qname, RRType::A, dnscore::Prefix{block, 24}, 24,
+                 std::move(answers[static_cast<std::size_t>(i)]), now,
+                 60 * netsim::kSecond);
+    const auto recent =
+        dnscore::IpAddress::v4(static_cast<std::uint32_t>(i - i % 16) << 8 | 7);
+    (void)cache.lookup(qname, RRType::A, recent, now);
+  };
+  for (int i = 0; i < kWarmup; ++i) step(i);
+  const auto before = allocs();
+  for (int i = kWarmup; i < kWarmup + kMeasured; ++i) step(i);
+  EXPECT_EQ(allocs(), before) << resolver::to_string(GetParam());
+  EXPECT_EQ(cache.size(), 64u);
+  EXPECT_GE(cache.stats().capacity_evictions, static_cast<std::uint64_t>(kMeasured));
+}
+
+TEST_P(BoundedNoalloc, BoundedReplaySteadyStateIsAllocationFree) {
+  measurement::CacheSimOptions options;
+  options.with_ecs = true;
+  options.max_entries_per_resolver = 48;
+  options.policy = GetParam();
+  obs::MetricsRegistry registry;
+  measurement::BoundedCacheSim sim(2, options, registry);
+  // Two resolvers at a steady rate with a fixed TTL, half their queries on
+  // a few hot /24 blocks and half spread over more blocks than the bound:
+  // every cache stays full, and the pending-expiry heap settles at one TTL
+  // window of inserts.
+  const auto query = [](std::uint64_t i) {
+    const bool hot = i % 4 < 2;
+    const std::uint64_t block = hot ? i / 4 % 8 : i * 2654435761u % 97;
+    measurement::TraceQuery q;
+    q.time = static_cast<netsim::SimTime>(i) * 10 * netsim::kMillisecond;
+    q.resolver = static_cast<std::uint32_t>(i % 2);
+    q.name = hot ? 0 : static_cast<std::uint32_t>(1 + i % 3);
+    q.client = dnscore::IpAddress::v4(static_cast<std::uint32_t>(block << 8));
+    q.scope = 24;
+    q.ttl_s = 5;
+    return q;
+  };
+  std::uint64_t i = 0;
+  for (; i < 20000; ++i) sim.observe(query(i));  // warm-up
+  const auto before = allocs();
+  for (; i < 60000; ++i) sim.observe(query(i));
+  EXPECT_EQ(allocs(), before) << resolver::to_string(GetParam());
+  const auto result = sim.finish();
+  EXPECT_GT(result.per_resolver[0].premature_evictions, 0u);
+  EXPECT_GT(result.per_resolver[0].hits, 0u);
+  EXPECT_EQ(result.per_resolver[0].max_cache_size, 48u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, BoundedNoalloc,
+                         ::testing::ValuesIn(resolver::kAllEvictionPolicies),
+                         [](const auto& info) {
+                           return resolver::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace ecsdns
