@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "dnscore/annotations.h"
@@ -33,8 +32,7 @@ namespace ecsdns::measurement {
 namespace detail {
 
 // Cache key: resolver x question x (scope-truncated client block). Without
-// ECS the block is the zero prefix. Shared by the streaming fold and the
-// sharded replay programs.
+// ECS the block is the zero prefix.
 struct CacheKey {
   std::uint32_t resolver;
   std::uint32_t name;
@@ -74,27 +72,24 @@ struct CacheSimOptions {
   // Victim selection for bounded replays (resolver::EvictionPolicy); LRU
   // preserves the historical behavior.
   resolver::EvictionPolicy policy = resolver::EvictionPolicy::kLru;
-  // Shards the replay over N event-loop shards (netsim::ParallelEngine).
-  // Unbounded: cache keys partition by stable hash, per-resolver occupancy
-  // merges via cross-shard delta streams. Bounded: eviction couples every
-  // key of a resolver, but never keys of different resolvers, so whole
-  // resolvers partition across shards and replay independently. Either
-  // way, results are bit-identical to the serial replay for every shard
-  // and thread count (the serial-equivalence oracle in
+  // Partitions whole resolvers over N shards (netsim::run_sharded), each
+  // replaying its own stream instance restricted to the resolvers it owns.
+  // Results are bit-identical to the serial replay for every shard and
+  // thread count (the serial-equivalence oracle in
   // tests/test_parallel_determinism.cpp enforces this).
   std::size_t shards = 1;
   // Worker threads for the sharded replay; 0 = one per shard, capped at
   // the hardware. Never affects results.
   std::size_t threads = 0;
   // Pin replay workers to cores (netsim::Topology::pin_order — one shard
-  // per physical core, SMT siblings last), with the engine's
+  // per physical core, SMT siblings last), with the runner's
   // warn-and-run-unpinned fallback when affinity is denied. Never affects
-  // results; forwarded to ParallelConfig::pin_threads.
+  // results; forwarded to netsim::RunnerConfig::pin_threads.
   bool pin_threads = false;
-  // Forwarded to ParallelConfig::runtime_metrics: per-shard busy counters
-  // and barrier-wait histograms in the merged export. Run metadata, exempt
-  // from the byte-identity contract — leave off anywhere exports are
-  // compared across shard/thread counts.
+  // Forwarded to netsim::RunnerConfig::runtime_metrics: per-shard busy
+  // counters and join-wait histograms in the merged export. Run metadata,
+  // exempt from the byte-identity contract — leave off anywhere exports
+  // are compared across shard/thread counts.
   bool runtime_metrics = false;
 };
 
@@ -112,103 +107,79 @@ struct ResolverCacheResult {
 };
 
 struct CacheSimResult {
+  // One row per resolver, indexed by resolver id.
   std::vector<ResolverCacheResult> per_resolver;
 
-  const ResolverCacheResult& resolver(std::uint32_t id) const;
   std::uint64_t total_hits() const;
   std::uint64_t total_misses() const;
   double overall_hit_rate() const;
 };
 
-// Incremental unbounded replay: feed queries one at a time, read the result
-// when the stream ends. This *is* the serial replay — simulate_cache's
-// serial path folds through it — exposed so streaming pipelines (the
-// scale_streaming bench, custom aggregations) can interleave generation and
-// simulation without a trace in memory. Memory is O(live cache entries +
-// resolvers), independent of how many queries flow through.
+// The cache replay: feed queries one at a time, read the per-resolver rows
+// when the stream ends. simulate_cache_stream runs every replay — serial or
+// sharded, bounded or not — through this fold; it is exposed so streaming
+// pipelines (the scale_streaming bench, custom aggregations) can
+// interleave generation and simulation without a trace in memory.
+//
+// One key table and one expiry heap serve every resolver of the instance;
+// per resolver there is only the result row and the live-entry count.
+// Before each query, every entry that expired by then is retired, so a key
+// still in the table is live: a hit. A miss caches the answer for exactly
+// its TTL; a TTL-0 answer is used once and never cached (RFC 1035,
+// mirroring EcsCache::insert).
+//
+// With `options.max_entries_per_resolver` set, every resolver's cache
+// holds at most that many entries, and an insert into a full cache first
+// evicts the victim `options.policy` names (a "premature eviction").
+// Bounded mode adds, per resolver that ever inserts, a
+// resolver::SlotEviction victim order and an entry slab indexed by its
+// dense slots, so once a cache has reached its bound observe() allocates
+// nothing for it. Memory is O(live cache entries + resolvers), independent
+// of how many queries flow through.
 class StreamingCacheSim {
  public:
-  StreamingCacheSim(std::uint32_t resolvers, const CacheSimOptions& options);
-
-  void observe(const TraceQuery& q);
-  // Finalizes and returns the per-resolver results (moves them out; the
-  // instance is spent afterwards).
-  CacheSimResult finish();
-
-  std::uint64_t queries() const noexcept { return queries_; }
-  std::size_t live_entries() const noexcept { return cache_.size(); }
-
- private:
-  struct Slot {
-    SimTime expiry = 0;
-  };
-  struct Expiry {
-    SimTime when;
-    detail::CacheKey key;
-  };
-  struct LaterExpiry {
-    bool operator()(const Expiry& a, const Expiry& b) const {
-      return a.when > b.when;
-    }
-  };
-
-  bool with_ecs_;
-  std::optional<std::uint32_t> ttl_override_;
-  dnscore::FlatHashMap<detail::CacheKey, Slot, detail::CacheKeyHash> cache_;
-  std::priority_queue<Expiry, std::vector<Expiry>, LaterExpiry> expirations_;
-  std::vector<ResolverCacheResult> results_;
-  std::vector<std::size_t> live_;
-  std::uint64_t queries_ = 0;
-};
-
-// Incremental bounded replay: every resolver's cache holds at most
-// `options.max_entries_per_resolver` entries, and an insert into a full
-// cache first evicts the victim `options.policy` names (a "premature
-// eviction"). Each resolver owns its cache outright — key table, entry
-// slab, expiry heap, and a resolver::SlotEviction victim order over the
-// slab's dense slots — so once a cache has reached its bound, observe()
-// allocates nothing for it. Expired entries retire per resolver, before
-// each of that resolver's queries, which keeps every row a pure function
-// of its resolver's own query sequence: any partition of resolvers across
-// instances reproduces the serial rows exactly.
-class BoundedCacheSim {
- public:
-  // Evictions count into `metrics` (cache_sim.capacity_evictions, plus the
-  // entry-age histogram cache_sim.eviction_age_s).
-  BoundedCacheSim(std::uint32_t resolvers, const CacheSimOptions& options,
-                  obs::MetricsRegistry& metrics);
+  // Capacity evictions count into `metrics` (cache_sim.capacity_evictions,
+  // plus the entry-age histogram cache_sim.eviction_age_s); unbounded
+  // replays record nothing there.
+  StreamingCacheSim(std::uint32_t resolvers, const CacheSimOptions& options,
+                    obs::MetricsRegistry& metrics = obs::MetricsRegistry::global());
 
   void observe(const TraceQuery& q);
   // Per-resolver rows; resolvers never observed keep all-zero rows. Moves
   // the results out; the instance is spent afterwards.
   CacheSimResult finish();
 
+  std::uint64_t queries() const noexcept { return queries_; }
+  std::size_t live_entries() const noexcept { return table_.size(); }
+
  private:
   using Slot = resolver::SlotEviction::Slot;
-  struct Live {
-    SimTime expiry;
+  // Pending expiries. Unbounded entries leave only by expiry, so their
+  // records name the key outright. Bounded records name the entry's slab
+  // slot instead — 16 bytes, not 40 — because an evicted entry leaves its
+  // record behind, and that heap outgrows the live set.
+  struct KeyExpiry {
+    SimTime when;
+    detail::CacheKey key;
+  };
+  struct SlotExpiry {
+    SimTime when;
+    std::uint32_t resolver;
     Slot slot;
   };
   struct Entry {
     detail::CacheKey key;
     SimTime inserted_at = 0;
-    std::uint32_t generation = 0;  // bumped whenever the slot is freed
+    SimTime expiry = 0;  // kFree once the slot is released
   };
-  // An expiry record is current iff its slot still holds the generation it
-  // was scheduled for; records of evicted entries go stale.
-  struct Expiry {
-    SimTime when;
-    Slot slot;
-    std::uint32_t generation;
-  };
+  // One resolver's capacity state (bounded mode only).
   struct ResolverCache {
     explicit ResolverCache(resolver::EvictionPolicy policy) : order(policy) {}
-    dnscore::FlatHashMap<detail::CacheKey, Live, detail::CacheKeyHash> table;
-    std::vector<Entry> slab;       // indexed by the order's slots
-    std::vector<Expiry> expiries;  // min-heap on `when`
     resolver::SlotEviction order;
+    std::vector<Entry> slab;  // indexed by the order's slots
   };
 
+  void retire_expired(SimTime now);
   ResolverCache& cache_of(std::uint32_t resolver);
   ECSDNS_NOALLOC void release(ResolverCache& cache, Slot slot);
   ECSDNS_NOALLOC void evict_one(ResolverCache& cache, ResolverCacheResult& row,
@@ -216,21 +187,29 @@ class BoundedCacheSim {
 
   bool with_ecs_;
   std::optional<std::uint32_t> ttl_override_;
+  std::optional<std::size_t> bound_;
   resolver::EvictionPolicy policy_;
-  std::size_t bound_;
-  obs::Counter& evictions_;
-  obs::Histogram& eviction_ages_;
+  obs::Counter* evictions_ = nullptr;
+  obs::Histogram* eviction_ages_ = nullptr;
+  // Live entries; the value is the entry's slot in its resolver's slab
+  // (bounded mode; unused otherwise).
+  dnscore::FlatHashMap<detail::CacheKey, Slot, detail::CacheKeyHash> table_;
+  // Min-heaps on `when`; each mode uses one.
+  std::vector<KeyExpiry> key_expiries_;
+  std::vector<SlotExpiry> slot_expiries_;
   std::vector<ResolverCacheResult> results_;
+  std::vector<std::uint32_t> live_;         // per resolver
   std::vector<std::uint32_t> cache_index_;  // resolver -> caches_ index
   std::vector<ResolverCache> caches_;
+  std::uint64_t queries_ = 0;
 };
 
-// Replays one logical stream, constructing one instance per shard from the
-// factory (stream construction is a pure deterministic function, so every
-// instance replays the same sequence). Dispatches exactly like
-// simulate_cache: bounded -> resolver-partitioned shards; unbounded sharded
-// when the stream is time-ordered with positive effective TTLs; serial
-// StreamingCacheSim fold otherwise.
+// Replays one logical stream through StreamingCacheSim. A time-ordered
+// stream partitions by resolver over `options.shards` shards, each worker
+// building its own instance from the factory (stream construction is a
+// pure deterministic function, so every instance replays the same
+// sequence) and restricting it to the resolvers it owns; any other stream
+// replays on one shard.
 CacheSimResult simulate_cache_stream(const TraceStreamFactory& factory,
                                      const CacheSimOptions& options);
 

@@ -58,12 +58,10 @@ TraceStreamInfo scan_trace_info(const Trace& trace) {
   info.hostnames = trace.hostnames;
   info.resolvers = trace.resolvers;
   info.time_ordered = true;
-  info.positive_ttls = true;
   SimTime last = -1;
   for (const auto& q : trace.queries) {
     if (q.time < last) info.time_ordered = false;
     last = std::max(last, q.time);
-    if (q.ttl_s == 0) info.positive_ttls = false;
   }
   info.time_bound = trace.queries.empty() ? 0 : last + 1;
   return info;
@@ -78,7 +76,6 @@ PublicResolverCdnStream::PublicResolverCdnStream(
   info_.resolvers = config.resolvers;
   info_.time_bound = config.duration;
   info_.time_ordered = true;
-  info_.positive_ttls = config.ttl_s > 0;
 
   // Per-hostname authoritative scope (a CDN property of the name).
   Rng scope_rng = Rng::stream(config.seed, kScopeStreamId);
@@ -192,7 +189,6 @@ AllNamesStream::AllNamesStream(const AllNamesConfig& config)
   info_.resolvers = 1;
   info_.time_bound = config.duration;
   info_.time_ordered = true;
-  info_.positive_ttls = true;  // every TTL choice below is positive
 
   // Identical draw sequence to the retired materialized generator — the
   // committed fig2/fig3/sec9 CSVs depend on it.

@@ -12,8 +12,7 @@
 // Sharded consumption needs no queue between generator and shards: stream
 // construction is a pure function of its config (per-resolver Rng streams),
 // so every shard builds its *own* instance from the shared factory and
-// filters to the keys it owns — the streaming analog of every shard
-// scanning the shared trace vector.
+// restricts it to the resolvers it owns.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +20,7 @@
 #include <memory>
 #include <vector>
 
+#include "measurement/sharding.h"
 #include "measurement/tracegen.h"
 #include "netsim/rng.h"
 #include "netsim/timer_wheel.h"
@@ -36,8 +36,6 @@ struct TraceStreamInfo {
   SimTime time_bound = 0;
   // Queries arrive sorted by time — precondition for the sharded replay.
   bool time_ordered = false;
-  // No query carries ttl_s == 0 — the other sharded-replay precondition.
-  bool positive_ttls = false;
 };
 
 class TraceStream {
@@ -53,17 +51,17 @@ class TraceStream {
   // Trace::clients). Generators derive it; default is empty.
   virtual void append_clients(std::vector<IpAddress>&) const {}
 
-  // Restricts generation to the resolvers owned by shard `index` of
+  // Restricts the stream to the resolvers owned by shard `index` of
   // `count` under measurement::shard_of_id. Returns true when the stream
   // applied the restriction: it will then yield exactly the owned
   // resolvers' queries — same values, same relative order — as the
-  // unrestricted stream filtered, but without spending any generation
-  // work on foreign resolvers. That is what lets a sharded replay split
-  // *generation* cost across cores instead of re-generating the full
-  // stream per shard. Must be called before the first next(); false
-  // (the default) means unsupported, and the stream is left untouched so
-  // callers can fall back to filtering. append_clients() keeps reporting
-  // the full universe either way.
+  // unrestricted stream filtered. Generators skip the generation work of
+  // foreign resolvers entirely, which is what lets a sharded replay split
+  // *generation* cost across cores. Must be called before the first
+  // next(); false (the default) means unsupported or too late, and the
+  // stream is left untouched. simulate_cache_stream requires support
+  // whenever it splits a stream over more than one shard.
+  // append_clients() keeps reporting the full universe either way.
   virtual bool restrict_to_members(std::size_t index, std::size_t count) {
     (void)index;
     (void)count;
@@ -92,18 +90,34 @@ class MaterializedTraceStream final : public TraceStream {
   const TraceStreamInfo& info() const noexcept override { return info_; }
 
   bool next(TraceQuery& out) override {
-    if (cursor_ >= trace_->queries.size()) return false;
-    out = trace_->queries[cursor_++];
-    return true;
+    while (cursor_ < trace_->queries.size()) {
+      const TraceQuery& q = trace_->queries[cursor_++];
+      if (shard_of_id(q.resolver, count_) == index_) {
+        out = q;
+        return true;
+      }
+    }
+    return false;
   }
 
   void append_clients(std::vector<IpAddress>& out) const override {
     out.insert(out.end(), trace_->clients.begin(), trace_->clients.end());
   }
 
+  // Filters: every shard still scans the whole trace, skipping the queries
+  // of resolvers it does not own.
+  bool restrict_to_members(std::size_t index, std::size_t count) override {
+    if (cursor_ != 0 || count == 0 || index >= count) return false;
+    index_ = index;
+    count_ = count;
+    return true;
+  }
+
  private:
   const Trace* trace_;
   std::size_t cursor_ = 0;
+  std::size_t index_ = 0;
+  std::size_t count_ = 1;
   TraceStreamInfo info_;
 };
 

@@ -54,8 +54,7 @@ class EventLoop {
   }
 
   // Fire time of the earliest pending event, or kNever when the queue is
-  // empty. The parallel engine uses this to decide whether a shard still
-  // has work inside the current epoch.
+  // empty.
   SimTime next_event_time() const noexcept {
     return use_wheel_ ? wheel_.peek_next_time() : heap_.peek_next_time();
   }

@@ -5,8 +5,7 @@
 // product is `pin_order()`: the CPU list a worker pool should pin against —
 // one CPU per physical core first (ascending package, then core id), SMT
 // siblings only after every physical core already has a worker. Pinning one
-// shard per physical core is what turns the lock-step engine's per-epoch
-// barrier from a scheduler lottery into a fixed-latency rendezvous; SMT
+// shard per physical core keeps shard workers off each other's cores; SMT
 // siblings share execution ports, so they are last-resort targets.
 //
 // Everything here is best-effort by design: a container with a masked

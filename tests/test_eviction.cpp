@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "measurement/cache_sim.h"
@@ -256,12 +257,12 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Bounded replay differential: the slab/heap/slot-indexed replay against a
-// naive one that keeps each resolver's live entries in a vector, expires
-// them by scanning, and asks ReferenceStrategy for every victim.
+// Replay differential: the slab/heap/slot-indexed replay against a naive
+// one that keeps each resolver's live entries in a vector, expires them by
+// scanning, and (when bounded) asks ReferenceStrategy for every victim.
 
-measurement::CacheSimResult naive_bounded_replay(
-    const measurement::Trace& trace, const measurement::CacheSimOptions& options) {
+measurement::CacheSimResult naive_replay(const measurement::Trace& trace,
+                                         const measurement::CacheSimOptions& options) {
   struct Live {
     measurement::detail::CacheKey key;
     netsim::SimTime expiry;
@@ -296,7 +297,8 @@ measurement::CacheSimResult naive_bounded_replay(
     ++row.misses;
     const std::uint32_t ttl_s = options.ttl_override.value_or(q.ttl_s);
     if (ttl_s == 0) continue;
-    while (cache.live.size() >= *options.max_entries_per_resolver) {
+    while (options.max_entries_per_resolver &&
+           cache.live.size() >= *options.max_entries_per_resolver) {
       const EntryId victim = cache.order.victim();
       cache.order.erase(victim);
       std::erase_if(cache.live, [&](const Live& e) { return e.id == victim; });
@@ -311,40 +313,91 @@ measurement::CacheSimResult naive_bounded_replay(
   return out;
 }
 
-class BoundedReplayDifferential
-    : public ::testing::TestWithParam<std::tuple<EvictionPolicy, std::size_t>> {};
-
-TEST_P(BoundedReplayDifferential, MatchesNaiveReplay) {
-  const auto [policy, bound] = GetParam();
+// A dense six-resolver trace in which every seventh answer has TTL 0 (used
+// once, never cached), mixed with the generator's positive TTLs.
+measurement::Trace mixed_ttl_trace() {
   measurement::PublicResolverCdnConfig config;
   config.resolvers = 6;
   config.min_qps = 20;
   config.max_qps = 60;
   config.duration = 90 * kSecond;
   config.seed = 11;
-  const measurement::Trace trace =
-      measurement::generate_public_resolver_cdn_trace(config);
+  measurement::Trace trace = measurement::generate_public_resolver_cdn_trace(config);
+  for (std::size_t i = 0; i < trace.queries.size(); i += 7) trace.queries[i].ttl_s = 0;
+  return trace;
+}
+
+void expect_same_rows(const measurement::CacheSimResult& got,
+                      const measurement::CacheSimResult& want, const std::string& label) {
+  ASSERT_EQ(got.per_resolver.size(), want.per_resolver.size()) << label;
+  for (std::size_t r = 0; r < want.per_resolver.size(); ++r) {
+    const auto& g = got.per_resolver[r];
+    const auto& w = want.per_resolver[r];
+    EXPECT_EQ(g.resolver, w.resolver) << label << ", resolver " << r;
+    EXPECT_EQ(g.hits, w.hits) << label << ", resolver " << r;
+    EXPECT_EQ(g.misses, w.misses) << label << ", resolver " << r;
+    EXPECT_EQ(g.max_cache_size, w.max_cache_size) << label << ", resolver " << r;
+    EXPECT_EQ(g.premature_evictions, w.premature_evictions) << label << ", resolver " << r;
+  }
+}
+
+class BoundedReplayDifferential
+    : public ::testing::TestWithParam<std::tuple<EvictionPolicy, std::size_t>> {};
+
+TEST_P(BoundedReplayDifferential, MatchesNaiveReplay) {
+  const auto [policy, bound] = GetParam();
+  const measurement::Trace trace = mixed_ttl_trace();
   measurement::CacheSimOptions options;
   options.with_ecs = true;
   options.max_entries_per_resolver = bound;
   options.policy = policy;
-  const measurement::CacheSimResult want = naive_bounded_replay(trace, options);
+  const measurement::CacheSimResult want = naive_replay(trace, options);
   std::uint64_t evictions = 0;
   for (const std::size_t shards : {1u, 3u}) {
     options.shards = shards;
     const measurement::CacheSimResult got = measurement::simulate_cache(trace, options);
-    ASSERT_EQ(got.per_resolver.size(), want.per_resolver.size());
-    for (std::size_t r = 0; r < want.per_resolver.size(); ++r) {
-      const auto& g = got.per_resolver[r];
-      const auto& w = want.per_resolver[r];
-      EXPECT_EQ(g.hits, w.hits) << "resolver " << r << ", " << shards << " shard(s)";
-      EXPECT_EQ(g.misses, w.misses) << "resolver " << r;
-      EXPECT_EQ(g.max_cache_size, w.max_cache_size) << "resolver " << r;
-      EXPECT_EQ(g.premature_evictions, w.premature_evictions) << "resolver " << r;
-      evictions += g.premature_evictions;
-    }
+    expect_same_rows(got, want, std::to_string(shards) + " shard(s)");
+    for (const auto& row : got.per_resolver) evictions += row.premature_evictions;
   }
   EXPECT_GT(evictions, 0u) << "the bound never bit; the test is vacuous";
+}
+
+TEST_P(BoundedReplayDifferential, UnboundedMatchesNaiveReplay) {
+  const measurement::Trace trace = mixed_ttl_trace();
+  for (const bool with_ecs : {true, false}) {
+    measurement::CacheSimOptions options;
+    options.with_ecs = with_ecs;
+    const measurement::CacheSimResult want = naive_replay(trace, options);
+    EXPECT_GT(want.total_hits(), 0u);
+    for (const std::size_t shards : {1u, 3u}) {
+      options.shards = shards;
+      expect_same_rows(measurement::simulate_cache(trace, options), want,
+                       "ecs=" + std::to_string(with_ecs) + ", " +
+                           std::to_string(shards) + " shard(s)");
+    }
+  }
+}
+
+TEST_P(BoundedReplayDifferential, UnboundedEqualsBoundedThatNeverBinds) {
+  // A bound of at least the query count can never bind, so the bounded
+  // fold must reproduce the unbounded rows exactly — TTL-0 answers
+  // included, which neither mode caches or counts toward the peak.
+  const auto [policy, bound] = GetParam();
+  const measurement::Trace trace = mixed_ttl_trace();
+  for (const bool with_ecs : {true, false}) {
+    measurement::CacheSimOptions unbounded;
+    unbounded.with_ecs = with_ecs;
+    const measurement::CacheSimResult want = measurement::simulate_cache(trace, unbounded);
+    measurement::CacheSimOptions bounded = unbounded;
+    bounded.max_entries_per_resolver = trace.queries.size() * bound;
+    bounded.policy = policy;
+    for (const std::size_t shards : {1u, 3u}) {
+      bounded.shards = shards;
+      expect_same_rows(measurement::simulate_cache(trace, bounded), want,
+                       "ecs=" + std::to_string(with_ecs) + ", " +
+                           std::to_string(shards) + " shard(s)");
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

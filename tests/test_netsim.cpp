@@ -141,8 +141,7 @@ TEST(EventLoop, RunUntilLandsOnDeadline) {
   EXPECT_EQ(loop.run_until(90), 1u);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(loop.now(), 90);
-  // Draining the queue before the deadline still parks at the deadline,
-  // so lock-step shards always agree on the epoch boundary.
+  // Draining the queue before the deadline still parks at the deadline.
   EXPECT_EQ(loop.run_until(500), 1u);
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(loop.now(), 500);

@@ -262,7 +262,7 @@ TEST_P(BoundedNoalloc, BoundedReplaySteadyStateIsAllocationFree) {
   options.max_entries_per_resolver = 48;
   options.policy = GetParam();
   obs::MetricsRegistry registry;
-  measurement::BoundedCacheSim sim(2, options, registry);
+  measurement::StreamingCacheSim sim(2, options, registry);
   // Two resolvers at a steady rate with a fixed TTL, half their queries on
   // a few hot /24 blocks and half spread over more blocks than the bound:
   // every cache stays full, and the pending-expiry heap settles at one TTL

@@ -1,9 +1,9 @@
-// The sharded parallel engine and its serial-equivalence oracle.
+// The fork-join shard runner and the serial-equivalence oracle.
 //
 // Two layers of guarantees are exercised here:
-//  1. Engine-level determinism: with a fixed seed and shard count, a
-//     ParallelEngine run is bit-identical for any thread count (mailbox
-//     ordering, RNG stream splitting, metrics merging).
+//  1. Runner-level determinism: with a fixed shard count, a run_sharded
+//     run is bit-identical for any thread count, pinned or not (RNG stream
+//     splitting, per-shard registries merged in shard-index order).
 //  2. Program-level serial equivalence: the sharded cache replay produces
 //     byte-identical results — full CacheSimResult, exported metrics JSON,
 //     and the fig2/fig3-style formatted CSV cells — for ANY shard count,
@@ -11,10 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -23,7 +25,8 @@
 #include "measurement/sharding.h"
 #include "measurement/stats.h"
 #include "measurement/tracegen.h"
-#include "netsim/parallel_engine.h"
+#include "netsim/rng.h"
+#include "netsim/sharded_runner.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 
@@ -31,210 +34,54 @@ namespace ecsdns::measurement {
 namespace {
 
 using dnscore::IpAddress;
-using netsim::ParallelConfig;
-using netsim::ParallelEngine;
-using netsim::ShardContext;
-using netsim::ShardProgram;
+using netsim::RunnerConfig;
 using netsim::SimTime;
 
 // ---------------------------------------------------------------------------
-// Engine-level tests
+// Runner-level tests
 
-TEST(ParallelEngine, ConservativeEpochIsMinimumOneWayLatency) {
-  const netsim::LatencyModel model;
-  // Two nodes at zero distance still pay the fixed per-direction overhead;
-  // no simulated packet crosses shards faster than that.
-  EXPECT_EQ(netsim::conservative_epoch(model), model.one_way(0.0));
-  EXPECT_GT(netsim::conservative_epoch(model), 0);
+TEST(RunSharded, ValidatesConfiguration) {
+  obs::MetricsRegistry merged;
+  EXPECT_THROW(netsim::run_sharded(0, {}, merged,
+                                   [](std::size_t, obs::MetricsRegistry&) {}),
+               std::invalid_argument);
 }
 
-TEST(ParallelEngine, ValidatesConfiguration) {
-  ParallelConfig config;
-  config.shards = 2;
-  std::vector<std::unique_ptr<ShardProgram>> none;
-  EXPECT_THROW(ParallelEngine(config, std::move(none)), std::invalid_argument);
-  config.epoch = 0;
-  std::vector<std::unique_ptr<ShardProgram>> two;
-  struct Idle final : ShardProgram {
-    void epoch(ShardContext&, SimTime) override {}
-    bool done(const ShardContext&) const override { return true; }
-  };
-  two.push_back(std::make_unique<Idle>());
-  two.push_back(std::make_unique<Idle>());
-  EXPECT_THROW(ParallelEngine(config, std::move(two)), std::invalid_argument);
-}
-
-namespace mail_order {
-struct Program final : ShardProgram {
-  std::vector<std::pair<std::size_t, int>>* log = nullptr;
-  int epochs = 0;
-  void epoch(ShardContext& ctx, SimTime) override {
-    if (epochs++ > 0) return;
-    for (int m = 0; m < 2; ++m) {
-      const std::size_t src = ctx.index();
-      ctx.post(0, [src, m, sink = log](ShardContext& receiver) {
-        EXPECT_EQ(receiver.index(), 0u);
-        sink->push_back({src, m});
-      });
-    }
-  }
-  bool done(const ShardContext&) const override { return epochs >= 1; }
-};
-}  // namespace mail_order
-
-TEST(ParallelEngine, ControlMailDeliversNextEpochInSourceFifoOrder) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-    std::vector<std::pair<std::size_t, int>> log;
-    std::vector<std::unique_ptr<ShardProgram>> programs;
-    for (int i = 0; i < 3; ++i) {
-      auto p = std::make_unique<mail_order::Program>();
-      p->log = &log;
-      programs.push_back(std::move(p));
-    }
-    ParallelConfig config;
-    config.shards = 3;
-    config.threads = threads;
-    ParallelEngine engine(config, std::move(programs));
-    EXPECT_GE(engine.run(), 2u);  // posting epoch + delivery epoch
-    const std::vector<std::pair<std::size_t, int>> want{
-        {0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 0}, {2, 1}};
-    EXPECT_EQ(log, want) << "threads=" << threads;
-  }
-}
-
-namespace timed_mail {
-struct Program final : ShardProgram {
-  std::vector<Program*>* directory = nullptr;
-  SimTime* fired_at = nullptr;
-  ShardContext* self = nullptr;
-  int epochs = 0;
-  void setup(ShardContext& ctx) override { self = &ctx; }
-  void epoch(ShardContext& ctx, SimTime epoch_end) override {
-    if (epochs++ > 0 || ctx.index() != 0) return;
-    // Lands on shard 1's loop one epoch out; the callback must observe the
-    // receiver's clock at exactly the requested simulation time.
-    const SimTime when = epoch_end + 250;
-    auto* sink = fired_at;
-    auto* receiver_loop = &(*directory)[1]->self->loop();
-    ctx.post_at(1, when, [sink, receiver_loop] { *sink = receiver_loop->now(); });
-  }
-  bool done(const ShardContext&) const override { return epochs >= 1; }
-};
-}  // namespace timed_mail
-
-TEST(ParallelEngine, TimedMailRunsAtRequestedTimeOnReceiverLoop) {
-  SimTime fired_at = -1;
-  std::vector<timed_mail::Program*> directory(2, nullptr);
-  std::vector<std::unique_ptr<ShardProgram>> programs;
-  for (int i = 0; i < 2; ++i) {
-    auto p = std::make_unique<timed_mail::Program>();
-    p->fired_at = &fired_at;
-    p->directory = &directory;
-    directory[static_cast<std::size_t>(i)] = p.get();
-    programs.push_back(std::move(p));
-  }
-  ParallelConfig config;
-  config.shards = 2;
-  config.epoch = 1000;
-  ParallelEngine engine(config, std::move(programs));
-  engine.run();
-  EXPECT_EQ(fired_at, 1250);
-}
-
-namespace bad_mail {
-struct BelowBound final : ShardProgram {
-  void epoch(ShardContext& ctx, SimTime epoch_end) override {
-    if (ctx.index() == 0) ctx.post_at(1, epoch_end - 1, [] {});
-  }
-  bool done(const ShardContext&) const override { return true; }
-};
-struct UnknownShard final : ShardProgram {
-  void epoch(ShardContext& ctx, SimTime) override {
-    ctx.post(99, [](ShardContext&) {});
-  }
-  bool done(const ShardContext&) const override { return true; }
-};
-}  // namespace bad_mail
-
-TEST(ParallelEngine, PostAtBelowConservativeBoundThrowsThroughRun) {
-  std::vector<std::unique_ptr<ShardProgram>> programs;
-  programs.push_back(std::make_unique<bad_mail::BelowBound>());
-  programs.push_back(std::make_unique<bad_mail::BelowBound>());
-  ParallelConfig config;
-  config.shards = 2;
-  ParallelEngine engine(config, std::move(programs));
-  EXPECT_THROW(engine.run(), std::invalid_argument);
-}
-
-TEST(ParallelEngine, PostToUnknownShardThrowsThroughRun) {
-  std::vector<std::unique_ptr<ShardProgram>> programs;
-  programs.push_back(std::make_unique<bad_mail::UnknownShard>());
-  ParallelConfig config;
-  config.shards = 1;
-  ParallelEngine engine(config, std::move(programs));
-  EXPECT_THROW(engine.run(), std::out_of_range);
-}
-
-// A toy program exercising every determinism-relevant engine feature at
-// once: per-shard RNG streams, control mail, timed mail, and per-shard
-// metrics. The final state must not depend on the worker thread count.
+// A toy program exercising every determinism-relevant runner feature at
+// once: per-shard RNG streams, per-shard results, and per-shard metrics.
+// The final state must not depend on the worker thread count or pinning.
 namespace toy {
-struct Program final : ShardProgram {
-  static constexpr int kEpochs = 8;
-  std::vector<Program*>* directory = nullptr;
-  std::vector<std::uint64_t>* out = nullptr;
-  std::uint64_t hash = 0;
-  std::uint64_t timed_hits = 0;
-  int epochs = 0;
+constexpr std::size_t kShards = 4;
 
-  void epoch(ShardContext& ctx, SimTime epoch_end) override {
-    if (epochs >= kEpochs) return;
-    ++epochs;
-    const std::uint64_t draw = ctx.rng().next_u64();
-    hash = hash * 1099511628211ull ^ draw;
-    ctx.metrics().counter("toy.epochs").inc();
-    ctx.metrics().histogram("toy.draw_low_byte").observe(draw & 0xff);
-    const std::size_t to = (ctx.index() + 1) % ctx.shard_count();
-    Program* peer = (*directory)[to];
-    ctx.post(to, [peer, draw](ShardContext&) {
-      peer->hash = peer->hash * 1099511628211ull ^ ~draw;
-    });
-    ctx.post_at(to, epoch_end + 7, [peer] { ++peer->timed_hits; });
-  }
-  bool done(const ShardContext&) const override { return epochs >= kEpochs; }
-  void finish(ShardContext& ctx) override {
-    (*out)[ctx.index()] = hash * 31 + timed_hits;
-  }
-};
+std::pair<std::vector<std::uint64_t>, std::string> run(RunnerConfig config) {
+  std::vector<std::uint64_t> results(kShards, 0);
+  obs::MetricsRegistry merged;
+  netsim::run_sharded(kShards, config, merged,
+                      [&results](std::size_t shard, obs::MetricsRegistry& metrics) {
+                        netsim::Rng rng = netsim::Rng::stream(99, shard);
+                        std::uint64_t hash = 0;
+                        for (int i = 0; i < 8; ++i) {
+                          const std::uint64_t draw = rng.next_u64();
+                          hash = hash * 1099511628211ull ^ draw;
+                          metrics.counter("toy.draws").inc();
+                          metrics.histogram("toy.draw_low_byte").observe(draw & 0xff);
+                        }
+                        results[shard] = hash;
+                      });
+  return {results, obs::metrics_json(merged, "toy", 0.0)};
+}
 
 std::pair<std::vector<std::uint64_t>, std::string> run(
     std::size_t threads, bool pin = false, std::vector<int> pin_cpus = {}) {
-  constexpr std::size_t kShards = 4;
-  std::vector<std::uint64_t> results(kShards, 0);
-  std::vector<Program*> directory(kShards, nullptr);
-  std::vector<std::unique_ptr<ShardProgram>> programs;
-  for (std::size_t i = 0; i < kShards; ++i) {
-    auto p = std::make_unique<Program>();
-    p->directory = &directory;
-    p->out = &results;
-    directory[i] = p.get();
-    programs.push_back(std::move(p));
-  }
-  ParallelConfig config;
-  config.shards = kShards;
+  RunnerConfig config;
   config.threads = threads;
-  config.seed = 99;
   config.pin_threads = pin;
   config.pin_cpus = std::move(pin_cpus);
-  ParallelEngine engine(config, std::move(programs));
-  engine.run();
-  obs::MetricsRegistry merged;
-  engine.merge_metrics(merged);
-  return {results, obs::metrics_json(merged, "toy", 0.0)};
+  return run(config);
 }
 }  // namespace toy
 
-TEST(ParallelEngine, ThreadCountNeverChangesResultsOrMetrics) {
+TEST(RunSharded, ThreadCountNeverChangesResultsOrMetrics) {
   const auto baseline = toy::run(1);
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
     const auto got = toy::run(threads);
@@ -243,10 +90,10 @@ TEST(ParallelEngine, ThreadCountNeverChangesResultsOrMetrics) {
   }
 }
 
-TEST(ParallelEngine, PinningNeverChangesResultsOrMetrics) {
-  // The core determinism contract of this PR: pinned and unpinned runs at
-  // every thread count produce bit-identical results AND metrics exports —
-  // whether the pins land (real CPUs) or fall back (affinity denied).
+TEST(RunSharded, PinningNeverChangesResultsOrMetrics) {
+  // Pinned and unpinned runs at every thread count produce bit-identical
+  // results AND metrics exports — whether the pins land (real CPUs) or
+  // fall back (affinity denied).
   const auto baseline = toy::run(1);
   for (const bool pinned : {false, true}) {
     for (const std::size_t threads :
@@ -260,10 +107,10 @@ TEST(ParallelEngine, PinningNeverChangesResultsOrMetrics) {
   }
 }
 
-TEST(ParallelEngine, PinFallbackWarnsOnceAndRunsUnpinned) {
+TEST(RunSharded, PinFallbackWarnsOnceAndRunsUnpinned) {
   // pin_cpus={-1} forces every pin attempt to fail regardless of the host:
-  // the engine must warn on stderr, report zero pinned workers, and still
-  // produce the exact unpinned results and metrics.
+  // the runner must warn on stderr and still produce the exact unpinned
+  // results and metrics.
   const auto baseline = toy::run(4);
   testing::internal::CaptureStderr();
   const auto got = toy::run(4, /*pin=*/true, /*pin_cpus=*/{-1});
@@ -275,62 +122,66 @@ TEST(ParallelEngine, PinFallbackWarnsOnceAndRunsUnpinned) {
   EXPECT_EQ(got.second, baseline.second);
 }
 
-TEST(ParallelEngine, RuntimeMetricsAreOptInAndDoNotChangeResults) {
-  // Wall-clock counters (engine.shardN.busy_us, engine.barrier_wait_us) are
-  // nondeterministic by nature, so they must be absent by default — the
-  // byte-identical metrics contract depends on it — and appear only when
-  // asked for, without perturbing the simulation results.
-  const auto baseline = toy::run(2);
-  EXPECT_EQ(baseline.second.find("engine.shard"), std::string::npos);
-
-  constexpr std::size_t kShards = 4;
-  std::vector<std::uint64_t> results(kShards, 0);
-  std::vector<toy::Program*> directory(kShards, nullptr);
-  std::vector<std::unique_ptr<ShardProgram>> programs;
-  for (std::size_t i = 0; i < kShards; ++i) {
-    auto p = std::make_unique<toy::Program>();
-    p->directory = &directory;
-    p->out = &results;
-    directory[i] = p.get();
-    programs.push_back(std::move(p));
-  }
-  ParallelConfig config;
-  config.shards = kShards;
-  config.threads = 2;
-  config.seed = 99;
-  config.runtime_metrics = true;
-  ParallelEngine engine(config, std::move(programs));
-  engine.run();
-  EXPECT_EQ(results, baseline.first);
-  obs::MetricsRegistry merged;
-  engine.merge_metrics(merged);
-  const std::string json = obs::metrics_json(merged, "toy", 0.0);
-  for (std::size_t i = 0; i < kShards; ++i) {
-    EXPECT_NE(json.find("engine.shard" + std::to_string(i) + ".busy_us"),
-              std::string::npos)
-        << json;
-  }
-  EXPECT_NE(json.find("engine.barrier_wait_us"), std::string::npos) << json;
-}
-
-TEST(ParallelEngine, PinFallbackReportsPinnedWorkerCount) {
-  struct Idle final : ShardProgram {
-    void epoch(ShardContext&, SimTime) override {}
-    bool done(const ShardContext&) const override { return true; }
-  };
-  std::vector<std::unique_ptr<ShardProgram>> programs;
-  programs.push_back(std::make_unique<Idle>());
-  programs.push_back(std::make_unique<Idle>());
-  ParallelConfig config;
-  config.shards = 2;
+TEST(RunSharded, PinFallbackReportsPinnedWorkerCount) {
+  RunnerConfig config;
   config.threads = 2;
   config.pin_threads = true;
   config.pin_cpus = {-1};
-  ParallelEngine engine(config, std::move(programs));
+  obs::MetricsRegistry merged;
   testing::internal::CaptureStderr();
-  engine.run();
+  const std::size_t pinned = netsim::run_sharded(
+      2, config, merged, [](std::size_t, obs::MetricsRegistry&) {});
   (void)testing::internal::GetCapturedStderr();
-  EXPECT_EQ(engine.pinned_workers(), 0u);
+  EXPECT_EQ(pinned, 0u);
+}
+
+TEST(RunSharded, RuntimeMetricsAreOptInAndDoNotChangeResults) {
+  // Wall-clock metrics (engine.shardN.busy_us, engine.barrier_wait_us) are
+  // nondeterministic by nature, so they must be absent by default — the
+  // byte-identical metrics contract depends on it — and appear only when
+  // asked for, without perturbing the results.
+  const auto baseline = toy::run(2);
+  EXPECT_EQ(baseline.second.find("engine."), std::string::npos);
+
+  RunnerConfig config;
+  config.threads = 2;
+  config.runtime_metrics = true;
+  const auto timed = toy::run(config);
+  EXPECT_EQ(timed.first, baseline.first);
+  for (std::size_t i = 0; i < toy::kShards; ++i) {
+    EXPECT_NE(timed.second.find("engine.shard" + std::to_string(i) + ".busy_us"),
+              std::string::npos)
+        << timed.second;
+  }
+  EXPECT_NE(timed.second.find("engine.barrier_wait_us"), std::string::npos)
+      << timed.second;
+}
+
+TEST(RunSharded, FirstExceptionByShardIndexIsRethrownAfterEveryShardStops) {
+  // Shards 1 and 4 throw; shard 1's exception must surface whichever
+  // throws first in wall time, and only after every other shard has run to
+  // completion. Nothing is merged from a failed run.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{6}}) {
+    std::atomic<int> completed{0};
+    obs::MetricsRegistry merged;
+    RunnerConfig config;
+    config.threads = threads;
+    try {
+      netsim::run_sharded(6, config, merged,
+                          [&completed](std::size_t shard, obs::MetricsRegistry& metrics) {
+                            metrics.counter("shard.ran").inc();
+                            if (shard == 4) throw std::logic_error("shard 4");
+                            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                            if (shard == 1) throw std::runtime_error("shard 1");
+                            completed.fetch_add(1);
+                          });
+      ADD_FAILURE() << "run_sharded returned normally, threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "shard 1") << "threads=" << threads;
+    }
+    EXPECT_EQ(completed.load(), 4) << "threads=" << threads;
+    EXPECT_TRUE(merged.counters().empty()) << "threads=" << threads;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -389,6 +240,15 @@ Trace small_cdn_trace() {
   return generate_public_resolver_cdn_trace(config);
 }
 
+// The single-resolver All-Names trace replays on one shard at any shard
+// count; the twelve-resolver CDN trace spreads over every shard.
+std::vector<Trace> oracle_traces() {
+  std::vector<Trace> traces;
+  traces.push_back(small_all_names_trace());
+  traces.push_back(small_cdn_trace());
+  return traces;
+}
+
 CacheSimResult run_sim(const Trace& trace, bool with_ecs,
                        std::optional<std::uint32_t> ttl_override,
                        std::size_t shards, std::size_t threads = 0,
@@ -418,14 +278,16 @@ void expect_identical(const CacheSimResult& a, const CacheSimResult& b,
 }
 
 TEST(ParallelDeterminism, CacheReplayMatchesSerialForEveryShardCount) {
-  const Trace trace = small_all_names_trace();
-  ASSERT_GT(trace.queries.size(), 1000u);
-  for (const bool with_ecs : {true, false}) {
-    const CacheSimResult serial = run_sim(trace, with_ecs, std::nullopt, 1);
-    for (const std::size_t shards : {2u, 4u, 8u}) {
-      expect_identical(serial, run_sim(trace, with_ecs, std::nullopt, shards),
-                       "ecs=" + std::to_string(with_ecs) +
-                           " shards=" + std::to_string(shards));
+  for (const Trace& trace : oracle_traces()) {
+    ASSERT_GT(trace.queries.size(), 1000u);
+    for (const bool with_ecs : {true, false}) {
+      const CacheSimResult serial = run_sim(trace, with_ecs, std::nullopt, 1);
+      for (const std::size_t shards : {2u, 4u, 8u}) {
+        expect_identical(serial, run_sim(trace, with_ecs, std::nullopt, shards),
+                         "resolvers=" + std::to_string(trace.resolvers) +
+                             " ecs=" + std::to_string(with_ecs) +
+                             " shards=" + std::to_string(shards));
+      }
     }
   }
 }
@@ -442,42 +304,48 @@ TEST(ParallelDeterminism, CdnTraceBlowupFactorsMatchSerialUnderTtlOverride) {
 }
 
 TEST(ParallelDeterminism, RepeatedRunsAndThreadCountsAreIdentical) {
-  const Trace trace = small_all_names_trace();
-  const CacheSimResult first = run_sim(trace, true, std::nullopt, 4);
-  expect_identical(first, run_sim(trace, true, std::nullopt, 4), "repeat");
-  expect_identical(first, run_sim(trace, true, std::nullopt, 4, 1), "threads=1");
-  expect_identical(first, run_sim(trace, true, std::nullopt, 4, 3), "threads=3");
-  expect_identical(first, run_sim(trace, true, std::nullopt, 4, 8), "threads=8");
+  for (const Trace& trace : oracle_traces()) {
+    const CacheSimResult first = run_sim(trace, true, std::nullopt, 4);
+    expect_identical(first, run_sim(trace, true, std::nullopt, 4), "repeat");
+    expect_identical(first, run_sim(trace, true, std::nullopt, 4, 1), "threads=1");
+    expect_identical(first, run_sim(trace, true, std::nullopt, 4, 3), "threads=3");
+    expect_identical(first, run_sim(trace, true, std::nullopt, 4, 8), "threads=8");
+  }
 }
 
 TEST(ParallelDeterminism, CacheReplayIdenticalPinnedAndUnpinnedAtEveryThreadCount) {
   // The acceptance matrix on the simulation side: pinned-vs-unpinned across
   // threads 1/2/4/8 replays the same 4-shard partition bit-identically.
-  const Trace trace = small_all_names_trace();
-  const CacheSimResult serial = run_sim(trace, true, std::nullopt, 1);
-  for (const bool pin : {false, true}) {
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      expect_identical(serial,
-                       run_sim(trace, true, std::nullopt, 4, threads, pin),
-                       "threads=" + std::to_string(threads) +
-                           " pin=" + std::to_string(pin));
+  for (const Trace& trace : oracle_traces()) {
+    const CacheSimResult serial = run_sim(trace, true, std::nullopt, 1);
+    for (const bool pin : {false, true}) {
+      for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+        expect_identical(serial,
+                         run_sim(trace, true, std::nullopt, 4, threads, pin),
+                         "resolvers=" + std::to_string(trace.resolvers) +
+                             " threads=" + std::to_string(threads) +
+                             " pin=" + std::to_string(pin));
+      }
     }
   }
 }
 
 TEST(ParallelDeterminism, MetricsExportIsByteIdenticalAcrossShardCounts) {
-  const Trace trace = small_all_names_trace();
-  const auto export_for = [&trace](std::size_t shards) {
+  const std::vector<Trace> traces = oracle_traces();
+  const auto export_for = [&traces](std::size_t shards) {
     auto& registry = obs::MetricsRegistry::global();
     registry.reset();
-    (void)run_sim(trace, true, std::nullopt, shards);
-    (void)run_sim(trace, false, std::nullopt, shards);
+    for (const Trace& trace : traces) {
+      (void)run_sim(trace, true, std::nullopt, shards);
+      (void)run_sim(trace, false, std::nullopt, shards);
+    }
     // Run metadata (wall clock) is outside the contract, so it is pinned;
     // everything the simulation itself produced must match byte for byte.
     return obs::metrics_json(registry, "oracle", 0.0);
   };
   const std::string serial = export_for(1);
   EXPECT_EQ(serial, export_for(2));
+  EXPECT_EQ(serial, export_for(4));
   EXPECT_EQ(serial, export_for(8));
 }
 
@@ -528,11 +396,15 @@ TEST(ParallelDeterminism, BoundedCacheMatchesSerialForEveryPolicyAndShardCount) 
                            " shards=" + std::to_string(shards));
     }
     bounded.shards = 4;
-    for (const std::size_t threads : {1u, 3u, 8u}) {
-      bounded.threads = threads;
-      expect_identical(serial, simulate_cache(trace, bounded),
-                       resolver::to_string(policy) +
-                           " threads=" + std::to_string(threads));
+    for (const bool pin : {false, true}) {
+      for (const std::size_t threads : {1u, 3u, 8u}) {
+        bounded.threads = threads;
+        bounded.pin_threads = pin;
+        expect_identical(serial, simulate_cache(trace, bounded),
+                         resolver::to_string(policy) +
+                             " threads=" + std::to_string(threads) +
+                             " pin=" + std::to_string(pin));
+      }
     }
   }
 }
@@ -558,13 +430,14 @@ TEST(ParallelDeterminism, BoundedMetricsExportIsByteIdenticalAcrossShardCounts) 
   EXPECT_EQ(serial, export_for(8));
 }
 
-TEST(ParallelDeterminism, ZeroTtlFallsBackToSerialWithEqualResults) {
-  // A zero TTL expires an entry at its own insert time, which the sharded
-  // merge order cannot represent; the dispatcher must detect it and replay
-  // serially. Results still must match the serial path bit for bit.
+TEST(ParallelDeterminism, ZeroTtlShardsWithEqualResults) {
+  // TTL-0 answers are never cached, so they shard like any other query:
+  // every answer is a miss and no resolver ever holds an entry.
   const Trace trace = small_cdn_trace();
   const CacheSimResult serial = run_sim(trace, true, 0u, 1);
   expect_identical(serial, run_sim(trace, true, 0u, 8), "ttl=0");
+  EXPECT_EQ(serial.total_hits(), 0u);
+  for (const auto& row : serial.per_resolver) EXPECT_EQ(row.max_cache_size, 0u);
 }
 
 TEST(ParallelDeterminism, UnsortedTraceFallsBackToSerialWithEqualResults) {
@@ -586,9 +459,6 @@ TEST(ParallelDeterminism, UnsortedTraceFallsBackToSerialWithEqualResults) {
   const CacheSimResult serial = run_sim(trace, true, std::nullopt, 1);
   expect_identical(serial, run_sim(trace, true, std::nullopt, 4), "unsorted");
 
-  // The bounded replay never needs the sortedness fallback: each shard owns
-  // whole resolvers and replays their queries in trace order, so shards=1 and
-  // shards=4 run the identical per-resolver code on any trace.
   CacheSimOptions bounded;
   bounded.with_ecs = true;
   bounded.max_entries_per_resolver = 2;

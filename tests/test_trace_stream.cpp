@@ -55,7 +55,6 @@ TEST(TraceStream, CdnStreamIsTimeOrderedWithDeclaredBounds) {
   EXPECT_EQ(info.hostnames, config.hostnames);
   EXPECT_EQ(info.time_bound, config.duration);
   EXPECT_TRUE(info.time_ordered);
-  EXPECT_TRUE(info.positive_ttls);
 
   TraceQuery q;
   SimTime prev = 0;
@@ -117,7 +116,6 @@ TEST(TraceStream, MaterializedStreamScansInfo) {
   EXPECT_EQ(stream.info().resolvers, trace.resolvers);
   EXPECT_EQ(stream.info().hostnames, trace.hostnames);
   EXPECT_TRUE(stream.info().time_ordered);
-  EXPECT_TRUE(stream.info().positive_ttls);
   EXPECT_EQ(stream.info().time_bound, trace.queries.back().time + 1);
 }
 
