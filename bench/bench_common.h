@@ -45,25 +45,9 @@ inline long flag(int argc, char** argv, const char* name, long fallback) {
   return fallback;
 }
 
-// The shared default for every bench's --threads flag: the
-// ECSDNS_BENCH_THREADS environment variable when set (strict integer, the
-// same no-silent-truncation rule as flag()), else hardware_concurrency,
-// never less than 1. One definition instead of per-bench ad-hoc defaults,
-// so a CI runner can cap every bench at once.
+// The shared default for every bench's --threads flag: hardware_concurrency,
+// never less than 1.
 inline long default_thread_count() {
-  if (const char* env = std::getenv("ECSDNS_BENCH_THREADS")) {
-    errno = 0;
-    char* end = nullptr;
-    const long value = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || errno == ERANGE || value < 1) {
-      std::fprintf(stderr,
-                   "error: ECSDNS_BENCH_THREADS: expected a positive "
-                   "integer, got \"%s\"\n",
-                   env);
-      std::exit(2);
-    }
-    return value;
-  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<long>(hw);
 }
@@ -110,7 +94,6 @@ class ObsSession {
         trace_path_(str_flag(argc, argv, "trace-out")),
         shards_(flag(argc, argv, "shards", 1)),
         threads_(flag(argc, argv, "threads", 0)),
-        pin_(flag(argc, argv, "pin", 0) != 0),
         start_(std::chrono::steady_clock::now()) {
     if (shards_ < 1) shards_ = 1;
     if (threads_ < 1) threads_ = default_thread_count();
@@ -120,10 +103,9 @@ class ObsSession {
     // Every bench records its shard count so an exported metrics document
     // says how the run was parallelized (wall_ms is only comparable within
     // one shard count; the simulation metrics must not differ at all).
-    // Threads and pinning are the same kind of run metadata.
+    // The thread count is the same kind of run metadata.
     registry.gauge("run.shards").set(shards_);
     registry.gauge("run.threads").set(threads_);
-    registry.gauge("run.pinned").set(pin_ ? 1 : 0);
     auto& tracer = obs::TraceRing::global();
     tracer.clear();
     tracer.set_enabled(!trace_path_.empty());
@@ -134,8 +116,6 @@ class ObsSession {
   // The validated --threads=N value; absent or < 1 resolves to
   // default_thread_count().
   long threads() const { return threads_; }
-  // --pin=1 requests core pinning (warn-and-run-unpinned on denial).
-  bool pin() const { return pin_; }
 
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
@@ -191,7 +171,6 @@ class ObsSession {
   std::string trace_path_;
   long shards_ = 1;
   long threads_ = 0;
-  bool pin_ = false;
   std::chrono::steady_clock::time_point start_;
   std::uint64_t start_allocations_ = obs::allocation_count();
   bool finished_ = false;

@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
   double median20 = 0;
   for (const std::uint32_t ttl : {20u, 40u, 60u}) {
     auto factors = blowup_factors(trace, ttl, shards,
-                                  static_cast<std::size_t>(obs_session.threads()),
-                                  obs_session.pin());
+                                  static_cast<std::size_t>(obs_session.threads()));
     Cdf cdf(std::move(factors));
     for (const auto& [x, p] : cdf.series(100)) {
       csv.row({std::to_string(ttl), TextTable::num(x, 4), TextTable::num(p, 4)});

@@ -46,8 +46,7 @@ int main(int argc, char** argv) {
       const Trace sampled = sample_clients(trace, pct / 100.0, seed * 101);
       const auto factors =
           blowup_factors(sampled, std::nullopt, shards,
-                         static_cast<std::size_t>(obs_session.threads()),
-                         obs_session.pin());
+                         static_cast<std::size_t>(obs_session.threads()));
       sum += factors.empty() ? 0.0 : factors.front();
     }
     const double avg = sum / 3.0;

@@ -37,12 +37,10 @@ int main(int argc, char** argv) {
   with_ecs_options.with_ecs = true;
   with_ecs_options.shards = shards;
   with_ecs_options.threads = static_cast<std::size_t>(obs_session.threads());
-  with_ecs_options.pin_threads = obs_session.pin();
   CacheSimOptions no_ecs_options;
   no_ecs_options.with_ecs = false;
   no_ecs_options.shards = shards;
   no_ecs_options.threads = with_ecs_options.threads;
-  no_ecs_options.pin_threads = with_ecs_options.pin_threads;
 
   TextTable table({"% of clients", "hit rate no ECS (%)", "hit rate with ECS (%)"});
   CsvWriter csv("fig3_hitrate_vs_population",

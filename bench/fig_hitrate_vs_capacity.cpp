@@ -61,17 +61,14 @@ int main(int argc, char** argv) {
   // an operator sized before ECS arrived. Unbounded-with-ECS is the
   // paper's baseline.
   const auto threads = static_cast<std::size_t>(obs_session.threads());
-  const bool pin = obs_session.pin();
   CacheSimOptions unbounded_no_ecs;
   unbounded_no_ecs.with_ecs = false;
   unbounded_no_ecs.shards = shards;
   unbounded_no_ecs.threads = threads;
-  unbounded_no_ecs.pin_threads = pin;
   CacheSimOptions unbounded_ecs;
   unbounded_ecs.with_ecs = true;
   unbounded_ecs.shards = shards;
   unbounded_ecs.threads = threads;
-  unbounded_ecs.pin_threads = pin;
   const auto no_ecs_sim = simulate_cache(trace, unbounded_no_ecs);
   const auto ecs_sim = simulate_cache(trace, unbounded_ecs);
   const std::size_t anchor = mean_peak(no_ecs_sim);
@@ -97,7 +94,6 @@ int main(int argc, char** argv) {
       options.policy = policy;
       options.shards = shards;
       options.threads = threads;
-      options.pin_threads = pin;
       const auto sim = simulate_cache(trace, options);
       const double rate = 100 * sim.overall_hit_rate();
       const std::uint64_t premature = total_premature(sim);

@@ -109,7 +109,6 @@ int main(int argc, char** argv) {
   live::LiveServerConfig server_config;
   server_config.shards = static_cast<int>(session.shards());
   server_config.batch = static_cast<int>(batch);
-  server_config.pin_threads = session.pin();
   live::UdpServer server(server_config, *auth);
   server.start();
 

@@ -1,22 +1,23 @@
 // Paper-scale streaming pipeline: generate -> simulate -> aggregate for a
 // million-resolver fleet without ever materializing the trace. The three
 // numbers that matter: sustained queries/second through the fold, peak RSS
-// (bounded by live cache entries, not query count), and the sampled-digest
-// equivalence of the sharded replay against the serial fold.
+// (bounded by live cache entries, not query count), and the full-row
+// digest equivalence of the sharded replay against the serial fold.
 //
 // Gates (all off by default, enabled by CI): --min-qps=N fails the run if
 // the fold sustains less, --max-peak-rss-mb=N fails it if VmHWM exceeds N.
-// --oracle=1 additionally replays the stream at shard counts 2/4/8 — and
-// across worker threads 1/2/4/8, pinned and unpinned — requiring every
-// sampled digest to equal the serial one. --sweep=1 times those
-// thread-count runs into a q/s-vs-cores scaling curve (scale.sweep.*
-// gauges); --min-speedup-pct=N gates the 4-thread run against the 1-thread
-// run (200 = "at least 2x"), auto-skipped with a warning on machines with
-// fewer than 4 online CPUs where the comparison is physically meaningless.
+// --oracle=1 additionally replays the stream at shard counts 1/2/4/8 — and
+// across worker threads 1/2/4/8 — requiring every result digest to equal
+// the serial one. --sweep=1 times those thread-count runs into a
+// q/s-vs-cores scaling curve (scale.sweep.* gauges); --min-speedup-pct=N
+// gates the 4-thread run against the 1-thread run (200 = "at least 2x"),
+// auto-skipped with a warning on machines with fewer than 4 hardware
+// threads where the comparison is physically meaningless.
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -24,7 +25,6 @@
 #include "measurement/cache_sim.h"
 #include "measurement/prefix_census.h"
 #include "measurement/trace_stream.h"
-#include "netsim/topology.h"
 #include "obs/metrics.h"
 
 using namespace ecsdns;
@@ -116,9 +116,9 @@ int main(int argc, char** argv) {
       .set(static_cast<std::int64_t>(peak_live));
 
   bool ok = true;
-  const std::uint64_t expect = sampled_result_digest(result, 64, config.seed);
+  const std::uint64_t expect = result_digest(result);
 
-  // ---- sampled-digest oracle across shard counts ----
+  // ---- full-row digest oracle across shard counts ----
   if (oracle) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                      std::size_t{4}, std::size_t{8}}) {
@@ -126,65 +126,59 @@ int main(int argc, char** argv) {
       options.shards = shards;
       const auto sharded =
           simulate_cache_stream(cdn_stream_factory(config), options);
-      const std::uint64_t digest = sampled_result_digest(sharded, 64, config.seed);
-      std::printf("  oracle shards=%zu sampled digest %016" PRIx64 " %s\n",
+      const std::uint64_t digest = result_digest(sharded);
+      std::printf("  oracle shards=%zu digest %016" PRIx64 " %s\n",
                   shards, digest, digest == expect ? "ok" : "MISMATCH");
       if (digest != expect) ok = false;
     }
   }
 
-  // ---- thread/pin matrix: digests + q/s-vs-cores scaling curve ----
+  // ---- thread matrix: digests + q/s-vs-cores scaling curve ----
   // Fixed shard count (8) so every cell replays the identical partition;
-  // only worker threads and pinning vary — exactly the axes the
-  // determinism contract says cannot matter. Each cell's digest must equal
-  // the serial fold's.
+  // only the worker thread count varies — exactly the axis the determinism
+  // contract says cannot matter. Each cell's digest must equal the serial
+  // fold's.
   if (oracle || sweep) {
     const std::size_t matrix_shards =
         resolvers >= 8 ? 8 : std::max<std::size_t>(1, resolvers);
     double qps_t1 = 0;
     double qps_t4 = 0;
     std::printf("\n  scaling matrix (shards=%zu):\n", matrix_shards);
-    for (const bool pinned : {false, true}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                        std::size_t{4}, std::size_t{8}}) {
-        CacheSimOptions options;
-        options.shards = matrix_shards;
-        options.threads = threads;
-        options.pin_threads = pinned;
-        options.runtime_metrics = true;
-        const auto cell_start = std::chrono::steady_clock::now();
-        const auto sharded =
-            simulate_cache_stream(cdn_stream_factory(config), options);
-        const double cell_wall =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          cell_start)
-                .count();
-        const std::uint64_t digest =
-            sampled_result_digest(sharded, 64, config.seed);
-        const double cell_qps =
-            cell_wall > 0 ? static_cast<double>(queries) / cell_wall : 0.0;
-        std::printf("    threads=%zu %-8s %10.0f q/s  digest %016" PRIx64
-                    " %s\n",
-                    threads, pinned ? "pinned" : "unpinned", cell_qps, digest,
-                    digest == expect ? "ok" : "MISMATCH");
-        if (digest != expect) ok = false;
-        if (sweep) {
-          const std::string gauge = "scale.sweep.t" + std::to_string(threads) +
-                                    (pinned ? ".pinned.qps" : ".qps");
-          registry.gauge(gauge).set(static_cast<std::int64_t>(cell_qps));
-        }
-        if (!pinned && threads == 1) qps_t1 = cell_qps;
-        if (!pinned && threads == 4) qps_t4 = cell_qps;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{4}, std::size_t{8}}) {
+      CacheSimOptions options;
+      options.shards = matrix_shards;
+      options.threads = threads;
+      options.runtime_metrics = true;
+      const auto cell_start = std::chrono::steady_clock::now();
+      const auto sharded =
+          simulate_cache_stream(cdn_stream_factory(config), options);
+      const double cell_wall =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        cell_start)
+              .count();
+      const std::uint64_t digest = result_digest(sharded);
+      const double cell_qps =
+          cell_wall > 0 ? static_cast<double>(queries) / cell_wall : 0.0;
+      std::printf("    threads=%zu %10.0f q/s  digest %016" PRIx64 " %s\n",
+                  threads, cell_qps, digest,
+                  digest == expect ? "ok" : "MISMATCH");
+      if (digest != expect) ok = false;
+      if (sweep) {
+        registry.gauge("scale.sweep.t" + std::to_string(threads) + ".qps")
+            .set(static_cast<std::int64_t>(cell_qps));
       }
+      if (threads == 1) qps_t1 = cell_qps;
+      if (threads == 4) qps_t4 = cell_qps;
     }
     if (min_speedup_pct > 0) {
-      const std::size_t online = netsim::Topology::detect().online_cpus();
-      if (online < 4) {
+      const unsigned cpus = std::thread::hardware_concurrency();
+      if (cpus < 4) {
         std::fprintf(stderr,
-                     "warning: only %zu online CPU(s); skipping the "
+                     "warning: only %u hardware thread(s); skipping the "
                      "--min-speedup-pct gate (a multi-core speedup cannot "
                      "be measured here)\n",
-                     online);
+                     cpus);
       } else if (qps_t4 * 100.0 <
                  qps_t1 * static_cast<double>(min_speedup_pct)) {
         std::fprintf(stderr,

@@ -5,7 +5,7 @@
 // authoritative nameservers, rather than replacing it with prefixes based
 // on the sender IP addresses."
 //
-// Topology: the paper's verified worst case — client and forwarder in
+// Setup: the paper's verified worst case — client and forwarder in
 // Santiago, hidden resolver in Milan, egress in Santiago. Three regimes:
 //   1. no ECS anywhere (pre-ECS baseline: mapping by egress location);
 //   2. status quo ECS (egress derives ECS from the hidden resolver's IP:

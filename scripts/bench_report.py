@@ -42,7 +42,7 @@ EXPERIMENTS = ["fig1_cache_blowup_cdf", "table1_source_prefix_census",
 # Extra flags for experiments whose defaults target a bigger machine than a
 # CI runner: the harness runs scale_streaming at a 100K-member fleet (the
 # 1M-member run is the manually documented number in docs/perf.md).
-# --sweep=1 times the thread/pin matrix and exports the scale.sweep.*
+# --sweep=1 times the thread-count matrix and exports the scale.sweep.*
 # q/s-vs-cores gauges that land in the report's "sweep_qps" block.
 EXPERIMENT_ARGS = {
     "scale_streaming": ["--resolvers=100000", "--duration-s=20", "--sweep=1"],

@@ -38,7 +38,6 @@ struct Flags {
   int batch = 32;
   int duration_s = 0;  // 0 = run until SIGINT/SIGTERM
   int scope_delta = 4;
-  bool pin = false;
   std::string zone = "scan-experiment.net";
   std::string policy = "delta";  // delta | fixed | noecs
   bool log_queries = false;
@@ -48,7 +47,7 @@ void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port N] [--shards N] [--batch N] [--zone NAME]\n"
                "          [--policy delta|fixed|noecs] [--scope-delta N]\n"
-               "          [--duration-s N] [--log-queries] [--pin]\n",
+               "          [--duration-s N] [--log-queries]\n",
                argv0);
 }
 
@@ -88,8 +87,6 @@ bool parse_flags(int argc, char** argv, Flags& flags) {
       flags.policy = v;
     } else if (arg == "--log-queries") {
       flags.log_queries = true;
-    } else if (arg == "--pin") {
-      flags.pin = true;
     } else {
       return false;
     }
@@ -133,7 +130,6 @@ int main(int argc, char** argv) {
   server_config.bind = {dnscore::IpAddress::v4(127, 0, 0, 1), flags.port};
   server_config.shards = flags.shards;
   server_config.batch = flags.batch;
-  server_config.pin_threads = flags.pin;
 
   try {
     live::UdpServer server(server_config, auth);

@@ -10,7 +10,7 @@
 #include <system_error>
 #include <utility>
 
-#include "netsim/topology.h"
+#include "netsim/sharded_runner.h"
 
 namespace ecsdns::live {
 
@@ -159,9 +159,6 @@ UdpServer::~UdpServer() {
 
 void UdpServer::start() {
   if (running_.exchange(true)) return;
-  if (config_.pin_threads && pin_order_.empty()) {
-    pin_order_ = netsim::Topology::detect().pin_order();
-  }
   threads_.reserve(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     threads_.emplace_back([this, i] { run_shard(i); });
@@ -186,17 +183,6 @@ void UdpServer::run_shard(std::size_t index) {
   char name[16];
   std::snprintf(name, sizeof(name), "live-epoll-%zu", index);
   netsim::set_current_thread_name(name);
-  if (config_.pin_threads && !pin_order_.empty() &&
-      !netsim::pin_current_thread_to_cpu(
-          pin_order_[index % pin_order_.size()]) &&
-      !pin_warned_.exchange(true)) {
-    // Graceful fallback: affinity denial (containers, restricted CI) means
-    // an unpinned run, not an error — responses are identical either way.
-    std::fprintf(stderr,
-                 "[udp_server] warning: could not pin shard %zu "
-                 "(affinity unavailable); continuing unpinned\n",
-                 index);
-  }
   ServerShard& shard = *shards_[index];
   const int sock_fd = sockets_[index]->native_handle();
   const int ep = ::epoll_create1(EPOLL_CLOEXEC);

@@ -43,11 +43,6 @@ struct LiveServerConfig {
   // Consecutive EAGAIN send retries before the rest of a batch is dropped
   // (a response dropped under backpressure is a normal UDP outcome).
   int max_send_spins = 1024;
-  // Pin epoll loop thread N to netsim::Topology::pin_order()[N % cores] —
-  // one shard per physical core, SMT siblings last. When affinity is
-  // denied (containers, restricted CI) the server warns once and runs
-  // unpinned; responses are identical either way.
-  bool pin_threads = false;
 };
 
 // One recv→dispatch→send cycle over any UdpSocket. Single-threaded.
@@ -121,8 +116,6 @@ class UdpServer {
   std::vector<std::unique_ptr<SysUdpSocket>> sockets_;
   std::vector<std::unique_ptr<ServerShard>> shards_;
   std::vector<std::thread> threads_;
-  std::vector<int> pin_order_;  // resolved once at start() when pinning
-  std::atomic<bool> pin_warned_{false};
   int stop_fd_ = -1;  // eventfd, level-triggered wakeup for every shard
   std::atomic<bool> running_{false};
 };

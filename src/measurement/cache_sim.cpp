@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "dnscore/contracts.h"
-#include "measurement/sharding.h"
 #include "netsim/sharded_runner.h"
 #include "obs/metrics.h"
 
@@ -198,7 +197,6 @@ CacheSimResult simulate_cache_stream(const TraceStreamFactory& factory,
   std::vector<CacheSimResult> parts(shards);
   netsim::RunnerConfig runner;
   runner.threads = options.threads;
-  runner.pin_threads = options.pin_threads;
   runner.runtime_metrics = options.runtime_metrics;
   netsim::run_sharded(
       shards, runner, obs::MetricsRegistry::global(),
@@ -245,19 +243,14 @@ CacheSimResult simulate_cache(const Trace& trace, const CacheSimOptions& options
       options);
 }
 
-std::uint64_t sampled_result_digest(const CacheSimResult& result,
-                                    std::size_t sample_rows,
-                                    std::uint64_t seed) {
+std::uint64_t result_digest(const CacheSimResult& result) {
   constexpr std::uint64_t kPrime = 1099511628211ull;
   std::uint64_t h = 14695981039346656037ull;
   const auto fold = [&h](std::uint64_t v) { h = (h ^ v) * kPrime; };
-  const std::size_t n = result.per_resolver.size();
-  fold(n);
+  fold(result.per_resolver.size());
   fold(result.total_hits());
   fold(result.total_misses());
-  if (n == 0) return h;
-  for (std::size_t k = 0; k < sample_rows; ++k) {
-    const auto& row = result.per_resolver[mix64(seed + k) % n];
+  for (const auto& row : result.per_resolver) {
     fold(row.resolver);
     fold(row.hits);
     fold(row.misses);
@@ -269,14 +262,12 @@ std::uint64_t sampled_result_digest(const CacheSimResult& result,
 
 std::vector<double> blowup_factors(const Trace& trace,
                                    std::optional<std::uint32_t> ttl_override,
-                                   std::size_t shards, std::size_t threads,
-                                   bool pin_threads) {
+                                   std::size_t shards, std::size_t threads) {
   CacheSimOptions with;
   with.with_ecs = true;
   with.ttl_override = ttl_override;
   with.shards = shards;
   with.threads = threads;
-  with.pin_threads = pin_threads;
   CacheSimOptions without = with;
   without.with_ecs = false;
 

@@ -81,11 +81,6 @@ struct CacheSimOptions {
   // Worker threads for the sharded replay; 0 = one per shard, capped at
   // the hardware. Never affects results.
   std::size_t threads = 0;
-  // Pin replay workers to cores (netsim::Topology::pin_order — one shard
-  // per physical core, SMT siblings last), with the runner's
-  // warn-and-run-unpinned fallback when affinity is denied. Never affects
-  // results; forwarded to netsim::RunnerConfig::pin_threads.
-  bool pin_threads = false;
   // Forwarded to netsim::RunnerConfig::runtime_metrics: per-shard busy
   // counters and join-wait histograms in the merged export. Run metadata,
   // exempt from the byte-identity contract — leave off anywhere exports
@@ -215,22 +210,19 @@ CacheSimResult simulate_cache_stream(const TraceStreamFactory& factory,
 
 CacheSimResult simulate_cache(const Trace& trace, const CacheSimOptions& options);
 
-// Order-independent digest of a deterministic sample of per-resolver rows
-// plus the global tallies — the serial-equivalence oracle at scales where
-// comparing millions of rows byte-for-byte is too expensive to run per
-// shard count. Full byte-identity remains the required check at small
-// scales (tests/test_parallel_determinism.cpp).
-std::uint64_t sampled_result_digest(const CacheSimResult& result,
-                                    std::size_t sample_rows,
-                                    std::uint64_t seed);
+// Digest of the row count, the global tallies and every per-resolver row
+// (resolver, hits, misses, max_cache_size, premature_evictions) in
+// resolver order — the serial-equivalence oracle where holding two
+// million-row results side by side is wasteful. O(resolvers): milliseconds
+// at 1M rows.
+std::uint64_t result_digest(const CacheSimResult& result);
 
 // Per-resolver blow-up factors: peak cache size with ECS divided by peak
 // size without (Figure 1's metric). Resolvers with an empty no-ECS cache
-// are skipped. `shards`/`threads`/`pin_threads` forward to CacheSimOptions.
+// are skipped. `shards`/`threads` forward to CacheSimOptions.
 std::vector<double> blowup_factors(const Trace& trace,
                                    std::optional<std::uint32_t> ttl_override,
                                    std::size_t shards = 1,
-                                   std::size_t threads = 0,
-                                   bool pin_threads = false);
+                                   std::size_t threads = 0);
 
 }  // namespace ecsdns::measurement

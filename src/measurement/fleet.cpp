@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "measurement/sharding.h"
-
 namespace ecsdns::measurement {
 namespace {
 
@@ -61,16 +59,6 @@ std::vector<const FleetMember*> Fleet::in_as(const std::string& as_label) const 
   std::vector<const FleetMember*> out;
   for (const auto& m : members) {
     if (m.as_label == as_label) out.push_back(&m);
-  }
-  return out;
-}
-
-std::vector<std::vector<std::size_t>> partition_fleet(const Fleet& fleet,
-                                                      std::size_t shards) {
-  if (shards == 0) shards = 1;
-  std::vector<std::vector<std::size_t>> out(shards);
-  for (std::size_t i = 0; i < fleet.members.size(); ++i) {
-    out[shard_of_address(fleet.members[i].address, shards)].push_back(i);
   }
   return out;
 }

@@ -48,13 +48,6 @@ struct Fleet {
   std::vector<const FleetMember*> in_as(const std::string& as_label) const;
 };
 
-// Groups member indexes by owning shard — a stable content hash of the
-// egress address (see measurement/sharding.h), so a member lands on the
-// same shard across runs and platforms no matter how the fleet was built.
-// Indexes stay ascending within each shard. `shards == 0` is treated as 1.
-std::vector<std::vector<std::size_t>> partition_fleet(const Fleet& fleet,
-                                                      std::size_t shards);
-
 // §4/§6.1 "CDN dataset" fleet: the 4147 ECS-enabled non-whitelisted
 // resolvers a major CDN observes, with the paper's probing-strategy and
 // source-prefix-length mixes:

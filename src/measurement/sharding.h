@@ -1,15 +1,13 @@
-// Stable shard partitioning shared by the cache replay, the workload
-// driver, and the fleet utilities. Every hash here is content-based (never
-// a pointer or an iteration order), so a partition reproduces exactly
-// across runs, platforms, and thread counts — the foundation of the
-// determinism contract in docs/parallel_engine.md.
+// Stable shard partitioning of the cache replay's resolvers. The hash is
+// content-based (never a pointer or an iteration order), so a partition
+// reproduces exactly across runs, platforms, and thread counts — the
+// foundation of the determinism contract in docs/parallel_engine.md.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 #include "dnscore/hashing.h"
-#include "dnscore/ip.h"
 
 namespace ecsdns::measurement {
 
@@ -17,20 +15,9 @@ namespace ecsdns::measurement {
 // existing call sites keep reading naturally.
 using dnscore::mix64;
 
-// Maps a content hash onto a shard index.
-inline std::size_t shard_of_hash(std::uint64_t hash, std::size_t shards) noexcept {
-  return shards <= 1 ? 0 : static_cast<std::size_t>(hash % shards);
-}
-
-// Shard owning a dense integer id (resolver ids, fleet member indexes).
+// Shard owning a dense integer id (resolver ids).
 inline std::size_t shard_of_id(std::uint64_t id, std::size_t shards) noexcept {
-  return shard_of_hash(mix64(id), shards);
-}
-
-// Shard owning an address-keyed entity (fleet members, client populations).
-inline std::size_t shard_of_address(const dnscore::IpAddress& address,
-                                    std::size_t shards) noexcept {
-  return shard_of_hash(static_cast<std::uint64_t>(address.hash()), shards);
+  return shards <= 1 ? 0 : static_cast<std::size_t>(mix64(id) % shards);
 }
 
 }  // namespace ecsdns::measurement

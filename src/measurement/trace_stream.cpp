@@ -63,7 +63,6 @@ TraceStreamInfo scan_trace_info(const Trace& trace) {
     if (q.time < last) info.time_ordered = false;
     last = std::max(last, q.time);
   }
-  info.time_bound = trace.queries.empty() ? 0 : last + 1;
   return info;
 }
 
@@ -74,7 +73,6 @@ PublicResolverCdnStream::PublicResolverCdnStream(
       names_(config.hostnames, config.zipf_exponent) {
   info_.hostnames = config.hostnames;
   info_.resolvers = config.resolvers;
-  info_.time_bound = config.duration;
   info_.time_ordered = true;
 
   // Per-hostname authoritative scope (a CDN property of the name).
@@ -187,7 +185,6 @@ AllNamesStream::AllNamesStream(const AllNamesConfig& config)
       t_(0) {
   info_.hostnames = config.hostnames;
   info_.resolvers = 1;
-  info_.time_bound = config.duration;
   info_.time_ordered = true;
 
   // Identical draw sequence to the retired materialized generator — the
@@ -276,12 +273,6 @@ void AllNamesStream::append_clients(std::vector<IpAddress>& out) const {
 TraceStreamFactory cdn_stream_factory(const PublicResolverCdnConfig& config) {
   return [config]() -> std::unique_ptr<TraceStream> {
     return std::make_unique<PublicResolverCdnStream>(config);
-  };
-}
-
-TraceStreamFactory all_names_stream_factory(const AllNamesConfig& config) {
-  return [config]() -> std::unique_ptr<TraceStream> {
-    return std::make_unique<AllNamesStream>(config);
   };
 }
 

@@ -30,10 +30,6 @@ namespace ecsdns::measurement {
 struct TraceStreamInfo {
   std::uint32_t hostnames = 0;
   std::uint32_t resolvers = 1;
-  // Exclusive upper bound on query times, when known up front (generators
-  // know their configured duration; a materialized trace its last
-  // timestamp). 0 means "empty or unknown".
-  SimTime time_bound = 0;
   // Queries arrive sorted by time — precondition for the sharded replay.
   bool time_ordered = false;
 };
@@ -203,7 +199,6 @@ class AllNamesStream final : public TraceStream {
 
 // Factory helpers (each call builds an independent replay of the stream).
 TraceStreamFactory cdn_stream_factory(const PublicResolverCdnConfig& config);
-TraceStreamFactory all_names_stream_factory(const AllNamesConfig& config);
 
 // Pulls a stream to exhaustion into a materialized Trace (the compat shim
 // the old generator entry points are built on).

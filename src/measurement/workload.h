@@ -29,8 +29,8 @@ struct WorkloadOptions {
   // Every fleet member draws its query stream from its own split RNG
   // stream, netsim::Rng::stream(seed, member_index). Traffic is a pure
   // function of (seed, member) — independent of execution order and of
-  // how members are grouped into shards (partition_fleet) — so serial and
-  // parallel drivers reproduce the same streams exactly. (The former
+  // how members are grouped — so serial and parallel drivers reproduce the
+  // same streams exactly. (The former
   // shards == 1 path that drew every member from one shared RNG is
   // retired; see CHANGES.md.)
   std::uint64_t seed = 21;

@@ -1,16 +1,17 @@
 #include "netsim/sharded_runner.h"
 
+#include <pthread.h>
+
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <exception>
 #include <stdexcept>
 #include <string>
 #include <thread>
-
-#include "netsim/topology.h"
+#include <vector>
 
 namespace ecsdns::netsim {
 
@@ -27,8 +28,8 @@ std::uint64_t runtime_now_us() {
 
 }  // namespace
 
-std::size_t run_sharded(std::size_t shards, const RunnerConfig& config,
-                        obs::MetricsRegistry& merged, const ShardFn& fn) {
+void run_sharded(std::size_t shards, const RunnerConfig& config,
+                 obs::MetricsRegistry& merged, const ShardFn& fn) {
   if (shards == 0) throw std::invalid_argument("run_sharded: no shards");
   std::size_t threads = config.threads;
   if (threads == 0) {
@@ -57,16 +58,9 @@ std::size_t run_sharded(std::size_t shards, const RunnerConfig& config,
     if (config.runtime_metrics) finished_us[w] = runtime_now_us();
   };
 
-  std::size_t pinned = 0;
-  if (threads == 1 && !config.pin_threads) {
+  if (threads == 1) {
     work(0);
   } else {
-    std::vector<int> targets;
-    if (config.pin_threads) {
-      targets = config.pin_cpus.empty() ? Topology::detect().pin_order()
-                                        : config.pin_cpus;
-    }
-    std::atomic<std::size_t> pins{0};
     std::vector<std::thread> pool;
     pool.reserve(threads);
     for (std::size_t w = 0; w < threads; ++w) {
@@ -74,23 +68,10 @@ std::size_t run_sharded(std::size_t shards, const RunnerConfig& config,
         char name[16];
         std::snprintf(name, sizeof(name), "shard-%zu", w);
         set_current_thread_name(name);
-        if (!targets.empty() &&
-            pin_current_thread_to_cpu(targets[w % targets.size()])) {
-          pins.fetch_add(1, std::memory_order_relaxed);
-        }
         work(w);
       });
     }
     for (auto& t : pool) t.join();
-    pinned = pins.load(std::memory_order_relaxed);
-    if (config.pin_threads && pinned < threads) {
-      // Graceful fallback, not an error: containers and restricted CI deny
-      // the affinity syscall. Results are unaffected; only say so once.
-      std::fprintf(stderr,
-                   "[run_sharded] warning: pinned %zu/%zu workers "
-                   "(affinity unavailable); continuing unpinned\n",
-                   pinned, threads);
-    }
   }
   if (config.runtime_metrics) {
     const std::uint64_t joined = runtime_now_us();
@@ -103,7 +84,13 @@ std::size_t run_sharded(std::size_t shards, const RunnerConfig& config,
     if (error) std::rethrow_exception(error);
   }
   for (const auto& registry : registries) merged.merge_from(registry);
-  return pinned;
+}
+
+void set_current_thread_name(const char* name) {
+  char truncated[16];
+  std::strncpy(truncated, name, sizeof(truncated) - 1);
+  truncated[sizeof(truncated) - 1] = '\0';
+  pthread_setname_np(pthread_self(), truncated);
 }
 
 }  // namespace ecsdns::netsim

@@ -5,15 +5,14 @@
 // every call has returned. Shards share nothing while they run: each gets
 // its own obs::MetricsRegistry, folded into `merged` in shard-index order
 // after the join. With a fixed shard count, results and the merged metrics
-// are therefore bit-identical at any thread count, pinned or not — thread
-// count and pinning only change wall-clock time (the determinism contract,
+// are therefore bit-identical at any thread count — the thread count only
+// changes wall-clock time (the determinism contract,
 // docs/parallel_engine.md). A shard that needs randomness draws from
 // Rng::stream(seed, i), a pure function of its index.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <vector>
 
 #include "obs/metrics.h"
 
@@ -21,18 +20,9 @@ namespace ecsdns::netsim {
 
 struct RunnerConfig {
   // Worker threads; 0 = one per shard, capped at the hardware concurrency.
-  // Worker w runs shards w, w + threads, w + 2 * threads, ...
+  // Worker w runs shards w, w + threads, w + 2 * threads, ... One thread
+  // runs every shard inline in the caller.
   std::size_t threads = 0;
-  // Pin worker w to Topology::detect().pin_order()[w % cores] — one shard
-  // per physical core, SMT siblings last. When the affinity syscall is
-  // denied (containers, cgroup cpusets, restricted CI) the runner prints
-  // one warning to stderr and runs unpinned. With pinning requested the
-  // runner always spawns workers, even for one thread, so the caller's own
-  // affinity mask is never touched.
-  bool pin_threads = false;
-  // Explicit pin targets overriding topology detection. Tests pass an
-  // invalid CPU ({-1}) to exercise the warn-and-run-unpinned fallback.
-  std::vector<int> pin_cpus;
   // Wall-clock runtime metrics in the per-shard registries: an
   // `engine.shard<i>.busy_us` counter per shard (time inside fn) and an
   // `engine.barrier_wait_us` log2 histogram with one sample per worker
@@ -46,9 +36,13 @@ using ShardFn = std::function<void(std::size_t shard, obs::MetricsRegistry& metr
 
 // Runs every shard to completion. If shards throw, the exception of the
 // lowest-indexed one is rethrown once every shard has stopped, and nothing
-// is merged. Throws std::invalid_argument for zero shards. Returns how many
-// workers pinned (0 when pinning was not requested or fell back).
-std::size_t run_sharded(std::size_t shards, const RunnerConfig& config,
-                        obs::MetricsRegistry& merged, const ShardFn& fn);
+// is merged. Throws std::invalid_argument for zero shards.
+void run_sharded(std::size_t shards, const RunnerConfig& config,
+                 obs::MetricsRegistry& merged, const ShardFn& fn);
+
+// Names the calling thread for perf top/htop/TSan reports (the runner's
+// workers are `shard-N`). Linux caps thread names at 15 characters + NUL;
+// longer names are truncated.
+void set_current_thread_name(const char* name);
 
 }  // namespace ecsdns::netsim

@@ -519,21 +519,24 @@ std::optional<Message> RecursiveResolver::query_authoritatives(
       network_.buffer_pool().release(std::move(*wire));
       if (!parsed) continue;
       if (response->header.tc) {
-        // Truncated over UDP: retry the same server over TCP.
+        // Truncated over UDP: retry the same server over TCP. A truncated
+        // answer is never used, so a TCP timeout moves on to the next server.
         ++counters_.upstream_queries;
         metrics_.upstream_queries.inc();
         auto tcp_wire = network_.round_trip(own_address_, server, query_wire,
                                             /*tcp=*/true);
-        if (tcp_wire) {
-          try {
-            response = Message::parse({tcp_wire->data(), tcp_wire->size()});
-          } catch (const dnscore::WireFormatError&) {
-            response.reset();
-            parsed = false;
-          }
-          network_.buffer_pool().release(std::move(*tcp_wire));
-          if (!parsed) continue;
+        if (!tcp_wire) {
+          response.reset();
+          continue;
         }
+        try {
+          response = Message::parse({tcp_wire->data(), tcp_wire->size()});
+        } catch (const dnscore::WireFormatError&) {
+          response.reset();
+          parsed = false;
+        }
+        network_.buffer_pool().release(std::move(*tcp_wire));
+        if (!parsed) continue;
       }
       if (response->header.rcode == RCode::FORMERR && query.opt) {
         // RFC 6891 §6.2.2 fallback: a pre-EDNS server choked on the OPT

@@ -101,62 +101,31 @@ TEST(BenchFlags, ObsSessionDefaultsToOneShard) {
   EXPECT_EQ(session0.shards(), 1);
 }
 
-TEST(BenchFlags, DefaultThreadCountFollowsEnvThenHardware) {
-  ::unsetenv("ECSDNS_BENCH_THREADS");
-  EXPECT_GE(default_thread_count(), 1);
-  ::setenv("ECSDNS_BENCH_THREADS", "5", 1);
-  EXPECT_EQ(default_thread_count(), 5);
-  ::unsetenv("ECSDNS_BENCH_THREADS");
-}
-
-TEST(BenchFlagsDeathTest, DefaultThreadCountRejectsBadEnv) {
-  // A CI runner exporting a typo'd cap must fail loudly, not silently run
-  // every bench at hardware_concurrency.
-  ::setenv("ECSDNS_BENCH_THREADS", "4x", 1);
-  EXPECT_EXIT(default_thread_count(), ::testing::ExitedWithCode(2),
-              "expected a positive integer");
-  ::setenv("ECSDNS_BENCH_THREADS", "0", 1);
-  EXPECT_EXIT(default_thread_count(), ::testing::ExitedWithCode(2),
-              "expected a positive integer");
-  ::setenv("ECSDNS_BENCH_THREADS", "", 1);
-  EXPECT_EXIT(default_thread_count(), ::testing::ExitedWithCode(2),
-              "expected a positive integer");
-  ::unsetenv("ECSDNS_BENCH_THREADS");
-}
-
-TEST(BenchFlagsDeathTest, ThreadsAndPinFlagsUseTheStrictParser) {
+TEST(BenchFlagsDeathTest, ThreadsFlagUsesTheStrictParser) {
   Argv threads({"bench", "--threads=2x"});
   EXPECT_EXIT(ObsSession(threads.argc(), threads.argv(), "bad-threads"),
               ::testing::ExitedWithCode(2), "expected an integer");
-  Argv pin({"bench", "--pin=yes"});
-  EXPECT_EXIT(ObsSession(pin.argc(), pin.argv(), "bad-pin"),
-              ::testing::ExitedWithCode(2), "expected an integer");
 }
 
-TEST(BenchFlags, ObsSessionParsesThreadsAndPin) {
-  ::unsetenv("ECSDNS_BENCH_THREADS");
-  Argv args({"bench", "--threads=3", "--pin=1"});
-  ObsSession session(args.argc(), args.argv(), "threads-pin");
+TEST(BenchFlags, ObsSessionParsesThreads) {
+  Argv args({"bench", "--threads=3"});
+  ObsSession session(args.argc(), args.argv(), "threads");
   EXPECT_EQ(session.threads(), 3);
-  EXPECT_TRUE(session.pin());
 
-  // Absent or sub-1 --threads resolves to the shared default; --pin
-  // defaults off. The env override must flow through ObsSession too.
-  ::setenv("ECSDNS_BENCH_THREADS", "7", 1);
+  // Absent or sub-1 --threads resolves to the shared default.
+  EXPECT_GE(default_thread_count(), 1);
   Argv bare({"bench"});
   ObsSession fallback(bare.argc(), bare.argv(), "threads-default");
-  EXPECT_EQ(fallback.threads(), 7);
-  EXPECT_FALSE(fallback.pin());
+  EXPECT_EQ(fallback.threads(), default_thread_count());
   Argv zero({"bench", "--threads=0"});
   ObsSession zeroed(zero.argc(), zero.argv(), "threads-zero");
-  EXPECT_EQ(zeroed.threads(), 7);
-  ::unsetenv("ECSDNS_BENCH_THREADS");
+  EXPECT_EQ(zeroed.threads(), default_thread_count());
 }
 
-TEST(BenchFlags, ObsSessionExportsThreadAndPinGauges) {
+TEST(BenchFlags, ObsSessionExportsThreadGauge) {
   const std::string path = ::testing::TempDir() + "bench_flags_threads.json";
   const std::string out_flag = "--metrics-out=" + path;
-  Argv args({"bench", "--threads=2", "--pin=1", out_flag.c_str()});
+  Argv args({"bench", "--threads=2", out_flag.c_str()});
   {
     ObsSession session(args.argc(), args.argv(), "threads-schema");
     session.finish();
@@ -169,11 +138,8 @@ TEST(BenchFlags, ObsSessionExportsThreadAndPinGauges) {
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) doc.append(buf, n);
   std::fclose(f);
   std::remove(path.c_str());
-  for (const char* key : {"\"run.threads\":{\"value\":2,\"max\":2}",
-                          "\"run.pinned\":{\"value\":1,\"max\":1}"}) {
-    EXPECT_NE(doc.find(key), std::string::npos)
-        << "missing " << key << " in " << doc;
-  }
+  const char* key = "\"run.threads\":{\"value\":2,\"max\":2}";
+  EXPECT_NE(doc.find(key), std::string::npos) << "missing " << key << " in " << doc;
 }
 
 }  // namespace

@@ -2,18 +2,21 @@
 //
 // Two layers of guarantees are exercised here:
 //  1. Runner-level determinism: with a fixed shard count, a run_sharded
-//     run is bit-identical for any thread count, pinned or not (RNG stream
-//     splitting, per-shard registries merged in shard-index order).
+//     run is bit-identical for any thread count (RNG stream splitting,
+//     per-shard registries merged in shard-index order).
 //  2. Program-level serial equivalence: the sharded cache replay produces
 //     byte-identical results — full CacheSimResult, exported metrics JSON,
 //     and the fig2/fig3-style formatted CSV cells — for ANY shard count,
 //     including the serial shards=1 path.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <pthread.h>
+#include <sched.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -21,8 +24,6 @@
 #include <vector>
 
 #include "measurement/cache_sim.h"
-#include "measurement/fleet.h"
-#include "measurement/sharding.h"
 #include "measurement/stats.h"
 #include "measurement/tracegen.h"
 #include "netsim/rng.h"
@@ -49,7 +50,7 @@ TEST(RunSharded, ValidatesConfiguration) {
 
 // A toy program exercising every determinism-relevant runner feature at
 // once: per-shard RNG streams, per-shard results, and per-shard metrics.
-// The final state must not depend on the worker thread count or pinning.
+// The final state must not depend on the worker thread count.
 namespace toy {
 constexpr std::size_t kShards = 4;
 
@@ -71,19 +72,47 @@ std::pair<std::vector<std::uint64_t>, std::string> run(RunnerConfig config) {
   return {results, obs::metrics_json(merged, "toy", 0.0)};
 }
 
-std::pair<std::vector<std::uint64_t>, std::string> run(
-    std::size_t threads, bool pin = false, std::vector<int> pin_cpus = {}) {
+std::pair<std::vector<std::uint64_t>, std::string> run(std::size_t threads) {
   RunnerConfig config;
   config.threads = threads;
-  config.pin_threads = pin;
-  config.pin_cpus = std::move(pin_cpus);
   return run(config);
 }
 }  // namespace toy
 
+// Restricts the calling thread to the lowest CPU in its affinity mask for
+// the lifetime of the object; threads it spawns inherit the mask. Where the
+// mask cannot be read or set the thread keeps running where it was: the
+// tests below assert identical results either way.
+class ScopedSingleCpuAffinity {
+ public:
+  ScopedSingleCpuAffinity() {
+    CPU_ZERO(&saved_);
+    if (pthread_getaffinity_np(pthread_self(), sizeof(saved_), &saved_) != 0) return;
+    for (std::size_t cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (!CPU_ISSET(cpu, &saved_)) continue;
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpu, &one);
+      restore_ = pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0;
+      return;
+    }
+  }
+  ~ScopedSingleCpuAffinity() {
+    if (restore_) pthread_setaffinity_np(pthread_self(), sizeof(saved_), &saved_);
+  }
+  ScopedSingleCpuAffinity(const ScopedSingleCpuAffinity&) = delete;
+  ScopedSingleCpuAffinity& operator=(const ScopedSingleCpuAffinity&) = delete;
+
+ private:
+  cpu_set_t saved_;
+  bool restore_ = false;
+};
+
 TEST(RunSharded, ThreadCountNeverChangesResultsOrMetrics) {
+  // One thread runs inline in the caller; more spawn workers. Either way
+  // the results AND the metrics export are bit-identical.
   const auto baseline = toy::run(1);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     const auto got = toy::run(threads);
     EXPECT_EQ(got.first, baseline.first) << "threads=" << threads;
     EXPECT_EQ(got.second, baseline.second) << "threads=" << threads;
@@ -91,48 +120,21 @@ TEST(RunSharded, ThreadCountNeverChangesResultsOrMetrics) {
 }
 
 TEST(RunSharded, PinningNeverChangesResultsOrMetrics) {
-  // Pinned and unpinned runs at every thread count produce bit-identical
-  // results AND metrics exports — whether the pins land (real CPUs) or
-  // fall back (affinity denied).
+  // Runs with every worker pinned to one CPU and runs free to migrate, at
+  // every thread count, produce bit-identical results AND metrics exports.
   const auto baseline = toy::run(1);
   for (const bool pinned : {false, true}) {
+    std::optional<ScopedSingleCpuAffinity> pin;
+    if (pinned) pin.emplace();
     for (const std::size_t threads :
          {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-      const auto got = toy::run(threads, pinned);
+      const auto got = toy::run(threads);
       EXPECT_EQ(got.first, baseline.first)
           << "threads=" << threads << " pinned=" << pinned;
       EXPECT_EQ(got.second, baseline.second)
           << "threads=" << threads << " pinned=" << pinned;
     }
   }
-}
-
-TEST(RunSharded, PinFallbackWarnsOnceAndRunsUnpinned) {
-  // pin_cpus={-1} forces every pin attempt to fail regardless of the host:
-  // the runner must warn on stderr and still produce the exact unpinned
-  // results and metrics.
-  const auto baseline = toy::run(4);
-  testing::internal::CaptureStderr();
-  const auto got = toy::run(4, /*pin=*/true, /*pin_cpus=*/{-1});
-  const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("continuing unpinned"), std::string::npos) << err;
-  // Warn-once: a single warning line, not one per worker.
-  EXPECT_EQ(err.find("warning"), err.rfind("warning")) << err;
-  EXPECT_EQ(got.first, baseline.first);
-  EXPECT_EQ(got.second, baseline.second);
-}
-
-TEST(RunSharded, PinFallbackReportsPinnedWorkerCount) {
-  RunnerConfig config;
-  config.threads = 2;
-  config.pin_threads = true;
-  config.pin_cpus = {-1};
-  obs::MetricsRegistry merged;
-  testing::internal::CaptureStderr();
-  const std::size_t pinned = netsim::run_sharded(
-      2, config, merged, [](std::size_t, obs::MetricsRegistry&) {});
-  (void)testing::internal::GetCapturedStderr();
-  EXPECT_EQ(pinned, 0u);
 }
 
 TEST(RunSharded, RuntimeMetricsAreOptInAndDoNotChangeResults) {
@@ -184,34 +186,15 @@ TEST(RunSharded, FirstExceptionByShardIndexIsRethrownAfterEveryShardStops) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Fleet partitioning
-
-TEST(Sharding, PartitionFleetIsStableDisjointAndComplete) {
-  Fleet fleet;
-  for (std::uint32_t i = 0; i < 64; ++i) {
-    FleetMember m;
-    m.address = IpAddress::v4((10u << 24) | (i << 8) | 1u);
-    fleet.members.push_back(std::move(m));
-  }
-  const auto parts = partition_fleet(fleet, 4);
-  ASSERT_EQ(parts.size(), 4u);
-  std::vector<std::size_t> seen;
-  for (std::size_t s = 0; s < parts.size(); ++s) {
-    EXPECT_TRUE(std::is_sorted(parts[s].begin(), parts[s].end()));
-    for (const std::size_t i : parts[s]) {
-      seen.push_back(i);
-      // Ownership is a pure function of the member's address.
-      EXPECT_EQ(shard_of_address(fleet.members[i].address, 4), s);
-    }
-  }
-  std::sort(seen.begin(), seen.end());
-  ASSERT_EQ(seen.size(), fleet.members.size());
-  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
-  // Stable across calls, and shards=0/1 degenerate to one group.
-  EXPECT_EQ(partition_fleet(fleet, 4), parts);
-  EXPECT_EQ(partition_fleet(fleet, 0).size(), 1u);
-  EXPECT_EQ(partition_fleet(fleet, 1)[0].size(), fleet.members.size());
+TEST(RunSharded, ThreadNamesApplyAndTruncate) {
+  netsim::set_current_thread_name("shard-7");
+  char buf[32] = {};
+  ASSERT_EQ(pthread_getname_np(pthread_self(), buf, sizeof(buf)), 0);
+  EXPECT_STREQ(buf, "shard-7");
+  // Linux caps names at 15 chars; longer input must truncate, not fail.
+  netsim::set_current_thread_name("a-very-long-thread-name-indeed");
+  ASSERT_EQ(pthread_getname_np(pthread_self(), buf, sizeof(buf)), 0);
+  EXPECT_STREQ(buf, "a-very-long-thr");
 }
 
 // ---------------------------------------------------------------------------
@@ -251,14 +234,12 @@ std::vector<Trace> oracle_traces() {
 
 CacheSimResult run_sim(const Trace& trace, bool with_ecs,
                        std::optional<std::uint32_t> ttl_override,
-                       std::size_t shards, std::size_t threads = 0,
-                       bool pin = false) {
+                       std::size_t shards, std::size_t threads = 0) {
   CacheSimOptions options;
   options.with_ecs = with_ecs;
   options.ttl_override = ttl_override;
   options.shards = shards;
   options.threads = threads;
-  options.pin_threads = pin;
   return simulate_cache(trace, options);
 }
 
@@ -304,27 +285,33 @@ TEST(ParallelDeterminism, CdnTraceBlowupFactorsMatchSerialUnderTtlOverride) {
 }
 
 TEST(ParallelDeterminism, RepeatedRunsAndThreadCountsAreIdentical) {
+  // The acceptance matrix on the simulation side: a repeated run and
+  // threads 1/2/3/4/8 replay the same 4-shard partition bit-identically to
+  // the serial fold.
   for (const Trace& trace : oracle_traces()) {
-    const CacheSimResult first = run_sim(trace, true, std::nullopt, 4);
-    expect_identical(first, run_sim(trace, true, std::nullopt, 4), "repeat");
-    expect_identical(first, run_sim(trace, true, std::nullopt, 4, 1), "threads=1");
-    expect_identical(first, run_sim(trace, true, std::nullopt, 4, 3), "threads=3");
-    expect_identical(first, run_sim(trace, true, std::nullopt, 4, 8), "threads=8");
+    const CacheSimResult serial = run_sim(trace, true, std::nullopt, 1);
+    expect_identical(serial, run_sim(trace, true, std::nullopt, 4), "repeat");
+    for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+      expect_identical(serial, run_sim(trace, true, std::nullopt, 4, threads),
+                       "resolvers=" + std::to_string(trace.resolvers) +
+                           " threads=" + std::to_string(threads));
+    }
   }
 }
 
 TEST(ParallelDeterminism, CacheReplayIdenticalPinnedAndUnpinnedAtEveryThreadCount) {
-  // The acceptance matrix on the simulation side: pinned-vs-unpinned across
-  // threads 1/2/4/8 replays the same 4-shard partition bit-identically.
+  // Pinned-vs-unpinned across threads 1/2/4/8 replays the same 4-shard
+  // partition bit-identically to the serial fold.
   for (const Trace& trace : oracle_traces()) {
     const CacheSimResult serial = run_sim(trace, true, std::nullopt, 1);
-    for (const bool pin : {false, true}) {
+    for (const bool pinned : {false, true}) {
+      std::optional<ScopedSingleCpuAffinity> pin;
+      if (pinned) pin.emplace();
       for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-        expect_identical(serial,
-                         run_sim(trace, true, std::nullopt, 4, threads, pin),
+        expect_identical(serial, run_sim(trace, true, std::nullopt, 4, threads),
                          "resolvers=" + std::to_string(trace.resolvers) +
                              " threads=" + std::to_string(threads) +
-                             " pin=" + std::to_string(pin));
+                             " pinned=" + std::to_string(pinned));
       }
     }
   }
@@ -396,15 +383,11 @@ TEST(ParallelDeterminism, BoundedCacheMatchesSerialForEveryPolicyAndShardCount) 
                            " shards=" + std::to_string(shards));
     }
     bounded.shards = 4;
-    for (const bool pin : {false, true}) {
-      for (const std::size_t threads : {1u, 3u, 8u}) {
-        bounded.threads = threads;
-        bounded.pin_threads = pin;
-        expect_identical(serial, simulate_cache(trace, bounded),
-                         resolver::to_string(policy) +
-                             " threads=" + std::to_string(threads) +
-                             " pin=" + std::to_string(pin));
-      }
+    for (const std::size_t threads : {1u, 3u, 8u}) {
+      bounded.threads = threads;
+      expect_identical(serial, simulate_cache(trace, bounded),
+                       resolver::to_string(policy) +
+                           " threads=" + std::to_string(threads));
     }
   }
 }
