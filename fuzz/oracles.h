@@ -13,7 +13,8 @@
 //
 // The message oracle is differential, not a crash detector: parse →
 // serialize → re-parse must be a fixed point both with and without name
-// compression.
+// compression, and the in-place parse_into must agree with parse() from
+// any starting state.
 #pragma once
 
 #include <cstddef>
@@ -36,17 +37,71 @@
 
 namespace ecsdns::fuzz {
 
+inline bool same_message(const dnscore::Message& a, const dnscore::Message& b) {
+  return a.header == b.header && a.questions == b.questions &&
+         a.answers == b.answers && a.authorities == b.authorities &&
+         a.additional == b.additional && a.opt == b.opt;
+}
+
+// A message with every section, heap-backed rdata and two OPT options
+// filled: the dirtiest state a retained message can carry into parse_into.
+inline dnscore::Message dirty_message() {
+  using namespace dnscore;
+  const Name owner = Name::from_string("a-long-owner-name-that-spills-to-the-heap.dirty.example");
+  Message m = Message::make_query(0xbeef, owner, RRType::TXT);
+  m.header.qr = m.header.aa = m.header.tc = m.header.ad = m.header.cd = true;
+  m.header.rcode = RCode::BADVERS;
+  m.questions.push_back(Question{Name::from_string("second.example"), RRType::AAAA});
+  m.answers.push_back(ResourceRecord::make_txt(owner, 7, std::string(300, 't')));
+  m.answers.push_back(ResourceRecord::make_cname(owner, 7, Name::from_string("c.example")));
+  m.authorities.push_back(ResourceRecord::make_soa(
+      Name::from_string("example"), 9, Name::from_string("ns.example"),
+      Name::from_string("host.example"), 1, 60));
+  m.additional.push_back(ResourceRecord{owner, static_cast<RRType>(10), RRClass::IN, 3,
+                                        RawRdata{10, std::vector<std::uint8_t>(40, 1)}});
+  m.set_ecs(EcsOption::for_response(Prefix(IpAddress::parse("2001:db8::"), 48), 40));
+  m.opt->options.push_back(EdnsOption{10, std::vector<std::uint8_t>(24, 2)});
+  m.opt->udp_payload_size = 1232;
+  m.opt->extended_rcode = 1;
+  m.opt->version = 1;
+  m.opt->dnssec_ok = true;
+  return m;
+}
+
+// parse_into ⇄ parse differential: decoding into `target`, whatever it held
+// before, must throw exactly when parse() throws and otherwise produce the
+// message parse() produces.
+inline void check_parse_into(std::span<const std::uint8_t> wire,
+                             const std::optional<dnscore::Message>& expected,
+                             dnscore::Message& target) {
+  bool threw = false;
+  try {
+    dnscore::Message::parse_into(wire, target);
+  } catch (const dnscore::WireFormatError&) {
+    threw = true;
+  }
+  ECSDNS_CHECK(threw == !expected.has_value());
+  if (expected) ECSDNS_CHECK(same_message(target, *expected));
+}
+
 // Message::parse round-trip oracle. Any message the parser accepts must
 // serialize without throwing, re-parse, and normalize to the same bytes —
-// under both wire layouts.
+// under both wire layouts. parse_into must agree with it from two dirty
+// starting states: whatever the previous input left behind, and
+// dirty_message().
 inline void check_message(const std::uint8_t* data, std::size_t size) {
   using dnscore::Message;
-  Message first;
+  std::optional<Message> parsed;
   try {
-    first = Message::parse({data, size});
+    parsed = Message::parse({data, size});
   } catch (const dnscore::WireFormatError&) {
-    return;  // malformed input rejected: the expected outcome
   }
+  thread_local Message previous;
+  check_parse_into({data, size}, parsed, previous);
+  Message dirty = dirty_message();
+  check_parse_into({data, size}, parsed, dirty);
+  if (!parsed) return;  // malformed input rejected: the expected outcome
+  const Message& first = *parsed;
   const auto canon = first.serialize(false);
   for (const bool compress : {false, true}) {
     const auto wire = first.serialize(compress);

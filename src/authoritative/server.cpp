@@ -26,34 +26,6 @@ bool is_malformed(const std::vector<dnscore::EcsIssue>& issues) {
   return false;
 }
 
-// make_response semantics applied to a retained message: headers and
-// sections are reset, but vector capacity (including the response OPT's
-// option slots) survives for the next packet.
-void reset_response(const Message& query, Message& r) {
-  r.header = dnscore::Header{};
-  r.header.id = query.header.id;
-  r.header.qr = true;
-  r.header.opcode = query.header.opcode;
-  r.header.rd = query.header.rd;
-  r.header.ra = true;
-  r.questions.assign(query.questions.begin(), query.questions.end());
-  r.answers.clear();
-  r.authorities.clear();
-  r.additional.clear();
-  if (query.opt) {
-    if (!r.opt) r.opt = dnscore::OptRecord{};
-    r.opt->udp_payload_size = 4096;
-    r.opt->extended_rcode = 0;
-    r.opt->version = 0;
-    r.opt->dnssec_ok = false;
-    // The option list is deliberately NOT cleared here: answer_into ends by
-    // set_ecs (overwriting the retained slot in place) or clear_ecs, so the
-    // slot's payload capacity is reused instead of freed per packet.
-  } else {
-    r.opt.reset();
-  }
-}
-
 }  // namespace
 
 AuthServer::AuthServer(AuthConfig config, std::unique_ptr<EcsPolicy> policy)
@@ -151,7 +123,9 @@ bool AuthServer::handle_into(const Message& query, const IpAddress& sender,
 void AuthServer::answer_into(const Message& query, const IpAddress& sender,
                              std::optional<EcsOption>& ecs, bool ecs_unparseable,
                              Message& response) {
-  reset_response(query, response);
+  // The retained option list survives the reset: every exit below ends by
+  // set_ecs (overwriting the slot in place) or clear_ecs.
+  response.reset_response(query);
   response.header.ra = false;  // authoritative servers do not offer recursion
 
   if (query.questions.empty() || query.header.opcode != dnscore::Opcode::QUERY) {

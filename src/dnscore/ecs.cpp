@@ -12,12 +12,6 @@ std::size_t address_octets_for(std::uint8_t source_bits) {
   return (static_cast<std::size_t>(source_bits) + 7) / 8;
 }
 
-std::vector<std::uint8_t> prefix_address_bytes(const Prefix& prefix) {
-  const std::size_t n = address_octets_for(static_cast<std::uint8_t>(prefix.length()));
-  const auto& all = prefix.address().bytes();
-  return {all.begin(), all.begin() + static_cast<std::ptrdiff_t>(n)};
-}
-
 }  // namespace
 
 std::string to_string(EcsIssue issue) {
@@ -34,18 +28,26 @@ std::string to_string(EcsIssue issue) {
 
 EcsOption EcsOption::for_query(const Prefix& prefix) {
   EcsOption o;
-  o.family_ = static_cast<std::uint16_t>(
-      prefix.family() == IpFamily::V4 ? EcsFamily::IPv4 : EcsFamily::IPv6);
-  o.source_ = static_cast<std::uint8_t>(prefix.length());
-  o.scope_ = 0;
-  o.address_ = prefix_address_bytes(prefix);
+  o.assign_from_prefix(prefix);
   return o;
 }
 
 EcsOption EcsOption::for_response(const Prefix& prefix, int scope) {
-  EcsOption o = for_query(prefix);
-  o.scope_ = static_cast<std::uint8_t>(scope);
+  EcsOption o;
+  o.assign_from_prefix(prefix, scope);
   return o;
+}
+
+void EcsOption::assign_from_prefix(const Prefix& prefix, int scope) {
+  family_ = static_cast<std::uint16_t>(
+      prefix.family() == IpFamily::V4 ? EcsFamily::IPv4 : EcsFamily::IPv6);
+  source_ = static_cast<std::uint8_t>(prefix.length());
+  scope_ = static_cast<std::uint8_t>(scope);
+  const auto& all = prefix.address().bytes();
+  // ecstidy:allow(noalloc): at most 16 octets; a retained option grows once
+  // and re-assigns in place afterwards.
+  address_.assign(all.begin(),
+                  all.begin() + static_cast<std::ptrdiff_t>(address_octets_for(source_)));
 }
 
 EcsOption EcsOption::anonymous(EcsFamily family) {
@@ -139,6 +141,9 @@ void EcsOption::assign_from_payload(std::span<const std::uint8_t> payload) {
   source_ = r.u8();
   scope_ = r.u8();
   const auto rest = r.bytes(r.remaining());
+  // ecstidy:allow(noalloc): refills the retained address buffer, which grows
+  // only for a longer address than it has held (16 octets for any valid
+  // option).
   address_.assign(rest.begin(), rest.end());
   ECSDNS_DCHECK(r.at_end());
 }

@@ -77,6 +77,12 @@ class EcsOption {
   std::vector<EcsIssue> validate(bool in_query) const;
   bool is_valid(bool in_query) const { return validate(in_query).empty(); }
 
+  // Re-targets this option at `prefix` with `scope`, reusing the address
+  // buffer's capacity: for_query and for_response build on it, and the
+  // resolver fills its leased upstream option through it without
+  // allocating.
+  ECSDNS_NOALLOC void assign_from_prefix(const Prefix& prefix, int scope = 0);
+
   // Encodes to the generic EDNS option TLV (code 8).
   EdnsOption to_edns() const;
   // Decodes; throws WireFormatError if the payload is structurally

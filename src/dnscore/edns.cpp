@@ -74,6 +74,11 @@ void OptRecord::serialize(WireWriter& writer, std::uint8_t extended_rcode_bits) 
 
 OptRecord OptRecord::parse_body(WireReader& reader) {
   OptRecord opt;
+  parse_body_into(reader, opt);
+  return opt;
+}
+
+void OptRecord::parse_body_into(WireReader& reader, OptRecord& opt) {
   opt.udp_payload_size = reader.u16();
   const std::uint32_t ttl = reader.u32();
   opt.extended_rcode = static_cast<std::uint8_t>(ttl >> 24);
@@ -81,24 +86,34 @@ OptRecord OptRecord::parse_body(WireReader& reader) {
   opt.dnssec_ok = (ttl & 0x8000u) != 0;
   const std::uint16_t rdlength = reader.u16();
   const std::size_t end = reader.offset() + rdlength;
+  std::size_t count = 0;
   while (reader.offset() < end) {
     if (end - reader.offset() < 4) {
       throw WireFormatError("truncated EDNS option header");
     }
-    EdnsOption o;
-    o.code = reader.u16();
+    const std::uint16_t code = reader.u16();
     const std::uint16_t optlen = reader.u16();
     if (reader.offset() + optlen > end) {
       throw WireFormatError("EDNS option overruns OPT rdata");
     }
     const auto raw = reader.bytes(optlen);
+    if (count == opt.options.size()) {
+      // ecstidy:allow(noalloc): first-use growth — one slot per option the
+      // retained record has never held; re-parses reuse the slots.
+      opt.options.emplace_back();
+    }
+    EdnsOption& o = opt.options[count++];
+    o.code = code;
+    // ecstidy:allow(noalloc): refills the retained slot; grows only when
+    // this payload outsizes every earlier one in the slot.
     o.payload.assign(raw.begin(), raw.end());
-    opt.options.push_back(std::move(o));
   }
   // Each TLV was bounds-checked against `end`, so a successful parse lands
   // exactly on the declared RDLENGTH boundary.
   ECSDNS_DCHECK(reader.offset() == end);
-  return opt;
+  // ecstidy:allow(noalloc): shrinking never allocates; it drops the slots of
+  // options this packet did not carry.
+  opt.options.resize(count);
 }
 
 }  // namespace ecsdns::dnscore

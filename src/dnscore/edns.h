@@ -5,6 +5,7 @@
 #include <optional>
 #include <vector>
 
+#include "dnscore/annotations.h"
 #include "dnscore/types.h"
 #include "dnscore/wire.h"
 
@@ -50,6 +51,10 @@ struct OptRecord {
   // Parses the body of an OPT RR; the caller has already consumed the root
   // name and TYPE and passes the remaining header fields via the reader.
   static OptRecord parse_body(WireReader& reader);
+  // In-place variant parse_body wraps: decodes into `out`, refilling its
+  // existing option slots so their payload capacity is reused. Throws like
+  // parse_body; `out` is valid but unspecified on a throw.
+  ECSDNS_NOALLOC static void parse_body_into(WireReader& reader, OptRecord& out);
 };
 
 }  // namespace ecsdns::dnscore

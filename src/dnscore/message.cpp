@@ -28,18 +28,30 @@ Message Message::make_query(std::uint16_t id, const Name& qname, RRType qtype) {
 
 Message Message::make_response(const Message& query) {
   Message m;
-  m.header.id = query.header.id;
-  m.header.qr = true;
-  m.header.opcode = query.header.opcode;
-  m.header.rd = query.header.rd;
-  m.header.ra = true;
-  m.questions = query.questions;
-  if (query.opt) {
-    OptRecord opt;
-    opt.udp_payload_size = 4096;
-    m.opt = opt;
-  }
+  m.reset_response(query);
   return m;
+}
+
+void Message::reset_response(const Message& query) {
+  header = Header{};
+  header.id = query.header.id;
+  header.qr = true;
+  header.opcode = query.header.opcode;
+  header.rd = query.header.rd;
+  header.ra = true;
+  questions.assign(query.questions.begin(), query.questions.end());
+  answers.clear();
+  authorities.clear();
+  additional.clear();
+  if (query.opt) {
+    if (!opt) opt.emplace();
+    opt->udp_payload_size = 4096;
+    opt->extended_rcode = 0;
+    opt->version = 0;
+    opt->dnssec_ok = false;
+  } else {
+    opt.reset();
+  }
 }
 
 const Question& Message::question() const {
@@ -48,10 +60,17 @@ const Question& Message::question() const {
 }
 
 std::optional<EcsOption> Message::ecs() const {
-  if (!opt) return std::nullopt;
+  EcsOption ecs;
+  if (ecs_into(ecs) == nullptr) return std::nullopt;
+  return ecs;
+}
+
+const EcsOption* Message::ecs_into(EcsOption& slot) const {
+  if (!opt) return nullptr;
   const EdnsOption* raw = opt->find_option(EdnsOptionCode::ECS);
-  if (raw == nullptr) return std::nullopt;
-  return EcsOption::from_edns(*raw);
+  if (raw == nullptr) return nullptr;
+  slot.assign_from_payload({raw->payload.data(), raw->payload.size()});
+  return &slot;
 }
 
 void Message::set_ecs(const EcsOption& ecs) {
@@ -145,8 +164,14 @@ void Message::serialize_body(WireWriter& w, Name::CompressionTable* tp) const {
 }
 
 Message Message::parse(std::span<const std::uint8_t> wire) {
-  WireReader r(wire);
   Message m;
+  parse_into(wire, m);
+  return m;
+}
+
+void Message::parse_into(std::span<const std::uint8_t> wire, Message& m) {
+  WireReader r(wire);
+  m.header = Header{};
   m.header.id = r.u16();
   const std::uint16_t flags = r.u16();
   m.header.qr = (flags & kQrMask) != 0;
@@ -164,39 +189,70 @@ Message Message::parse(std::span<const std::uint8_t> wire) {
   const std::uint16_t nscount = r.u16();
   const std::uint16_t arcount = r.u16();
 
+  m.questions.clear();
+  m.answers.clear();
+  m.authorities.clear();
+  m.additional.clear();
   // Reserve using a per-entry wire minimum (question 5 octets, record 11)
   // so declared-but-truncated counts cannot drive huge allocations while
-  // well-formed messages get exactly one vector growth per section.
+  // well-formed messages get at most one vector growth per section — none
+  // once a retained message has seen the shape before.
+  // ecstidy:allow(noalloc): first-use growth, bounded by the wire size;
+  // a retained message re-parsing same-shaped packets never grows.
   m.questions.reserve(std::min<std::size_t>(qdcount, r.remaining() / 5));
+  // ecstidy:allow(noalloc): first-use growth, bounded by the wire size.
   m.answers.reserve(std::min<std::size_t>(ancount, r.remaining() / 11));
+  // ecstidy:allow(noalloc): first-use growth, bounded by the wire size.
   m.authorities.reserve(std::min<std::size_t>(nscount, r.remaining() / 11));
+  // ecstidy:allow(noalloc): first-use growth, bounded by the wire size.
   m.additional.reserve(std::min<std::size_t>(arcount, r.remaining() / 11));
 
-  for (std::uint16_t i = 0; i < qdcount; ++i) m.questions.push_back(Question::parse(r));
-  for (std::uint16_t i = 0; i < ancount; ++i) m.answers.push_back(ResourceRecord::parse(r));
+  // ecstidy resolves the qualified element parsers below by name, to this
+  // class's MAY_BLOCK parse(); each allow covers that and the append.
+  for (std::uint16_t i = 0; i < qdcount; ++i) {
+    // ecstidy:allow(noalloc): appends fit the capacity reserved above, and
+    // Question::parse allocates only for a name over 46 octets.
+    m.questions.push_back(Question::parse(r));
+  }
+  for (std::uint16_t i = 0; i < ancount; ++i) {
+    // ecstidy:allow(noalloc): appends fit the capacity reserved above;
+    // ResourceRecord::parse allocates only for long names or TXT/raw rdata.
+    m.answers.push_back(ResourceRecord::parse(r));
+  }
   for (std::uint16_t i = 0; i < nscount; ++i) {
+    // ecstidy:allow(noalloc): appends fit the capacity reserved above;
+    // ResourceRecord::parse allocates only for long names or TXT/raw rdata.
     m.authorities.push_back(ResourceRecord::parse(r));
   }
+  bool seen_opt = false;
   for (std::uint16_t i = 0; i < arcount; ++i) {
     // OPT must be detected before committing to ResourceRecord::parse so we
     // can decode its overloaded fields.
     const std::size_t mark = r.offset();
+    // ecstidy:allow(noalloc): Name::parse, resolved by name to parse();
+    // an owner name of up to 46 octets decodes into inline storage.
     const Name owner = Name::parse(r);
     const RRType type = static_cast<RRType>(r.u16());
     if (type == RRType::OPT) {
       if (!owner.is_root()) throw WireFormatError("OPT record with non-root owner");
-      if (m.opt) throw WireFormatError("duplicate OPT record");
-      m.opt = OptRecord::parse_body(r);
+      if (seen_opt) throw WireFormatError("duplicate OPT record");
+      seen_opt = true;
+      // ecstidy:allow(noalloc): engages the retained record on first use;
+      // the optional holds it in place, so this never allocates again.
+      if (!m.opt) m.opt.emplace();
+      OptRecord::parse_body_into(r, *m.opt);
       rcode_bits = static_cast<std::uint16_t>(
           rcode_bits | (static_cast<std::uint16_t>(m.opt->extended_rcode) << 4));
     } else {
       r.seek(mark);
+      // ecstidy:allow(noalloc): appends fit the capacity reserved above;
+      // ResourceRecord::parse allocates only for long names or TXT/raw rdata.
       m.additional.push_back(ResourceRecord::parse(r));
     }
   }
+  if (!seen_opt) m.opt.reset();
   m.header.rcode = static_cast<RCode>(rcode_bits);
   if (!r.at_end()) throw WireFormatError("trailing bytes after message");
-  return m;
 }
 
 std::string Message::to_string() const {

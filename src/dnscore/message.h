@@ -45,6 +45,12 @@ class Message {
   // Builds a response skeleton from a query: copies id, question, opcode,
   // sets QR/RA, and echoes EDNS presence with an empty option list.
   static Message make_response(const Message& query);
+  // make_response applied to this retained message: header and sections are
+  // reset, but vector capacity survives for the next packet. The OPT option
+  // list is deliberately kept (its slots hold payload capacity), so a
+  // caller must end by set_ecs or clear_ecs; on a fresh message the result
+  // equals make_response(query).
+  void reset_response(const Message& query);
 
   const Question& question() const;
   bool is_query() const noexcept { return !header.qr; }
@@ -53,6 +59,10 @@ class Message {
   // --- ECS convenience ---
   // The decoded ECS option, if an OPT record with one is present.
   std::optional<EcsOption> ecs() const;
+  // ecs() decoding into a caller-kept option instead (its address buffer is
+  // reused): returns `slot`, or null when the message carries no ECS.
+  // Throws like ecs() on an undecodable payload.
+  ECSDNS_NOALLOC const EcsOption* ecs_into(EcsOption& slot) const;
   // Installs (or replaces) the ECS option, creating the OPT record if
   // needed.
   void set_ecs(const EcsOption& ecs);
@@ -93,6 +103,13 @@ class Message {
   ECSDNS_NOALLOC void serialize_into(WireWriter& writer,
                                      Name::CompressionTable& table) const;
   ECSDNS_MAY_BLOCK static Message parse(std::span<const std::uint8_t> wire);
+  // The one parser, decoding into `out` in place: section vectors and OPT
+  // option slots keep their capacity, so re-parsing a same-shaped message
+  // allocates nothing. Accepts and rejects exactly what parse() does (parse
+  // is a wrapper over this); on a throw `out` holds a valid but unspecified
+  // message.
+  ECSDNS_NOALLOC static void parse_into(std::span<const std::uint8_t> wire,
+                                        Message& out);
 
   // Multi-line dig-style rendering for logs and examples.
   std::string to_string() const;

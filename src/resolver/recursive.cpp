@@ -1,6 +1,7 @@
 #include "resolver/recursive.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "netsim/rng.h"
 #include "obs/trace.h"
@@ -16,6 +17,102 @@ using dnscore::ResourceRecord;
 
 constexpr int kMaxReferrals = 16;
 constexpr int kMaxCnameRestarts = 8;
+
+}  // namespace
+
+// Everything one resolution level works in. Each member keeps its capacity
+// from lease to lease, so once the shapes of a run have been seen the
+// exchange allocates nothing.
+struct ResolutionScratch {
+  // The upstream query, rebuilt in place per hop, and the reply, decoded in
+  // place by Message::parse_into. The attach() service uses the pair of
+  // its own lease for the client's query and response.
+  Message query;
+  Message response;
+  EcsOption client_ecs;    // the client's decoded ECS option
+  EcsOption upstream_ecs;  // the option sent upstream
+  EcsOption response_ecs;  // the reply's decoded ECS option
+  // The query's ECS slot while a query goes out without ECS, so the slot's
+  // payload capacity survives for the next query that carries it.
+  dnscore::EdnsOption parked_ecs;
+  std::vector<IpAddress> servers;  // candidate order for this hop
+  Name::CompressionTable table;    // the attach() service's responses
+};
+
+namespace {
+
+// Leases come from a thread-local LIFO freelist. A nested resolution (a
+// forwarder relaying to a hidden resolver relaying to this one) takes its
+// own entry, so retained scratch grows with the nesting depth, not with the
+// number of resolvers.
+class ScratchLease {
+ public:
+  ScratchLease() {
+    auto& free = freelist();
+    if (free.empty()) {
+      scratch_ = std::make_unique<ResolutionScratch>();
+    } else {
+      scratch_ = std::move(free.back());
+      free.pop_back();
+    }
+  }
+  ~ScratchLease() { freelist().push_back(std::move(scratch_)); }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  ResolutionScratch& operator*() const noexcept { return *scratch_; }
+
+ private:
+  static std::vector<std::unique_ptr<ResolutionScratch>>& freelist() {
+    thread_local std::vector<std::unique_ptr<ResolutionScratch>> free;
+    return free;
+  }
+
+  std::unique_ptr<ResolutionScratch> scratch_;
+};
+
+// Rebuilds `query` in place as make_query(id, qname, qtype) with RD clear,
+// an empty OPT record and, when `ecs` is set, that option — the same
+// message, and so the same bytes, without a fresh Message per hop.
+ECSDNS_NOALLOC void build_query(Message& query, dnscore::EdnsOption& parked_ecs,
+                                std::uint16_t id, const Name& qname, RRType qtype,
+                                const EcsOption* ecs) {
+  query.header = dnscore::Header{};
+  query.header.id = id;
+  query.header.rd = false;
+  if (query.questions.size() != 1) {
+    query.questions.clear();
+    // ecstidy:allow(noalloc): first use of a leased message only; the
+    // one-question vector keeps its slot afterwards.
+    query.questions.emplace_back();
+  }
+  query.questions.front() = Question{qname, qtype, dnscore::RRClass::IN};
+  query.answers.clear();
+  query.authorities.clear();
+  query.additional.clear();
+  // ecstidy:allow(noalloc): engages the leased query's OPT record on first
+  // use; the optional holds it in place, so this never allocates again.
+  if (!query.opt) query.opt.emplace();
+  dnscore::OptRecord& opt = *query.opt;
+  opt.udp_payload_size = 4096;
+  opt.extended_rcode = 0;
+  opt.version = 0;
+  opt.dnssec_ok = false;
+  if (ecs != nullptr) {
+    if (opt.options.empty()) {
+      // ecstidy:allow(noalloc): the option vector's one slot is allocated
+      // on first use; later pushes fit the retained capacity.
+      opt.options.push_back(std::move(parked_ecs));
+    }
+    // ecstidy:allow(noalloc): shrinking to the one ECS slot never allocates.
+    opt.options.resize(1);
+    opt.options.front().code = static_cast<std::uint16_t>(dnscore::EdnsOptionCode::ECS);
+    ecs->payload_into(opt.options.front().payload);
+  } else if (!opt.options.empty()) {
+    parked_ecs = std::move(opt.options.front());
+    opt.options.clear();
+  }
+}
 
 }  // namespace
 
@@ -50,26 +147,28 @@ void RecursiveResolver::attach(const netsim::GeoPoint& location) {
   network_.attach(own_address_, location,
                   [this](const netsim::Datagram& dgram)
                       -> std::optional<std::vector<std::uint8_t>> {
-                    Message query;
+                    ScratchLease lease;
+                    ResolutionScratch& s = *lease;
                     try {
-                      query = Message::parse(
-                          {dgram.payload.data(), dgram.payload.size()});
+                      Message::parse_into({dgram.payload.data(), dgram.payload.size()},
+                                          s.query);
                     } catch (const dnscore::WireFormatError&) {
                       return std::nullopt;
                     }
-                    auto response = handle_client_query(query, dgram.src);
-                    if (!response) return std::nullopt;
+                    if (!handle_client_query_into(s.query, dgram.src, s.response)) {
+                      return std::nullopt;
+                    }
                     auto wire = network_.buffer_pool().acquire();
                     dnscore::WireWriter writer(wire);
-                    response->serialize_into(writer);
+                    s.response.serialize_into(writer, s.table);
                     return wire;
                   });
 }
 
-ClientIdentity RecursiveResolver::identify_client(const Message& query,
+ClientIdentity RecursiveResolver::identify_client(const EcsOption* ecs,
                                                   const IpAddress& sender) {
   if (config_.accept_client_ecs) {
-    if (auto ecs = query.ecs()) {
+    if (ecs != nullptr) {
       if (ecs->source_prefix_length() == 0) {
         // RFC 7871 §7.1.2: the client opted out; the resolver must either
         // omit ECS or identify itself.
@@ -109,8 +208,9 @@ std::optional<ClientIdentity> RecursiveResolver::self_identity() const {
   return std::nullopt;
 }
 
-EcsOption RecursiveResolver::build_option(const Question& question,
-                                          const ClientIdentity& identity) const {
+void RecursiveResolver::build_option(const Question& question,
+                                     const ClientIdentity& identity,
+                                     EcsOption& out) const {
   const bool v4 = identity.address.is_v4();
   int policy_bits = v4 ? config_.v4_source_bits : config_.v6_source_bits;
   if (config_.adapt_source_to_scope) {
@@ -141,10 +241,11 @@ EcsOption RecursiveResolver::build_option(const Question& question,
     auto bytes = dnscore::truncate_address(identity.address, keep).bytes();
     bytes[static_cast<std::size_t>(keep / 8)] = config_.jam_octet_value;
     const IpAddress jammed = IpAddress::v4(bytes[0], bytes[1], bytes[2], bytes[3]);
-    return EcsOption::for_query(Prefix{jammed, keep + 8});
+    out.assign_from_prefix(Prefix{jammed, keep + 8});
+    return;
   }
   const int bits = std::min(identity.bits, policy_bits);
-  return EcsOption::for_query(Prefix{identity.address, bits});
+  out.assign_from_prefix(Prefix{identity.address, bits});
 }
 
 bool RecursiveResolver::name_matches_probe_list(const Name& qname) const {
@@ -162,64 +263,74 @@ bool RecursiveResolver::caching_disabled_for(const Name& qname) const {
          name_matches_probe_list(qname);
 }
 
-std::optional<EcsOption> RecursiveResolver::upstream_ecs(const Question& question,
-                                                         const ClientIdentity& identity,
-                                                         bool infrastructure_hop,
-                                                         bool cache_missed) {
-  if (infrastructure_hop && !config_.ecs_to_root_servers) return std::nullopt;
+bool RecursiveResolver::upstream_ecs(const Question& question,
+                                     const ClientIdentity& identity,
+                                     bool infrastructure_hop, bool cache_missed,
+                                     EcsOption& out) {
+  if (infrastructure_hop && !config_.ecs_to_root_servers) return false;
   const bool address_query =
       question.qtype == RRType::A || question.qtype == RRType::AAAA;
   if (!address_query && question.qtype == RRType::NS && !config_.ecs_on_ns_queries) {
-    return std::nullopt;
+    return false;
   }
-  if (!address_query && question.qtype != RRType::NS) return std::nullopt;
+  if (!address_query && question.qtype != RRType::NS) return false;
 
   switch (config_.probing) {
     case ProbingStrategy::kNever:
-      return std::nullopt;
+      return false;
     case ProbingStrategy::kAlways:
       break;
     case ProbingStrategy::kProbeHostnamesNoCache:
-      if (!name_matches_probe_list(question.qname)) return std::nullopt;
+      if (!name_matches_probe_list(question.qname)) return false;
       break;
     case ProbingStrategy::kProbeHostnamesOnMiss:
       if (!name_matches_probe_list(question.qname) || !cache_missed) {
-        return std::nullopt;
+        return false;
       }
       break;
     case ProbingStrategy::kPeriodicLoopbackProbe: {
       const SimTime now = network_.now();
       if (last_probe_ >= 0 && now - last_probe_ < config_.probe_interval) {
-        return std::nullopt;
+        return false;
       }
       last_probe_ = now;
       // The probe deliberately reveals nothing: loopback, full length.
-      return EcsOption::for_query(Prefix{IpAddress::v4(127, 0, 0, 1), 32});
+      out.assign_from_prefix(Prefix{IpAddress::v4(127, 0, 0, 1), 32});
+      return true;
     }
     case ProbingStrategy::kZoneWhitelist:
-      if (!zone_whitelisted(question.qname)) return std::nullopt;
+      if (!zone_whitelisted(question.qname)) return false;
       break;
     case ProbingStrategy::kIrregular: {
       // Deterministic per-(resolver, query-ordinal) coin flip.
       netsim::SplitMix64 coin(config_.irregular_seed ^
                               (0x9e3779b97f4a7c15ull * counters_.upstream_queries));
       const double u = static_cast<double>(coin.next() >> 11) * 0x1.0p-53;
-      if (u >= config_.irregular_probability) return std::nullopt;
+      if (u >= config_.irregular_probability) return false;
       break;
     }
   }
 
   // Client opted out (source 0) with a resolver configured to omit rather
   // than self-identify: honor the opt-out.
-  if (identity.opted_out) return std::nullopt;
-  return build_option(question, identity);
+  if (identity.opted_out) return false;
+  build_option(question, identity, out);
+  return true;
 }
 
 std::optional<Message> RecursiveResolver::handle_client_query(const Message& query,
                                                               const IpAddress& sender) {
+  Message response;
+  if (!handle_client_query_into(query, sender, response)) return std::nullopt;
+  return response;
+}
+
+bool RecursiveResolver::handle_client_query_into(const Message& query,
+                                                 const IpAddress& sender,
+                                                 Message& response) {
   ++counters_.client_queries;
   metrics_.client_queries.inc();
-  if (query.questions.empty()) return std::nullopt;
+  if (query.questions.empty()) return false;
   const Question& q = query.question();
 
   auto& tracer = obs::TraceRing::global();
@@ -228,61 +339,62 @@ std::optional<Message> RecursiveResolver::handle_client_query(const Message& que
                    own_address_, 0, q.qname.to_string()});
   }
 
+  ScratchLease lease;
+  ResolutionScratch& s = *lease;
   // RFC 7871 §7.1.1: a malformed client ECS option earns a FORMERR.
-  std::optional<EcsOption> client_ecs;
-  if (query.opt) {
-    if (const auto* raw =
-            query.opt->find_option(dnscore::EdnsOptionCode::ECS)) {
-      try {
-        const EcsOption ecs = EcsOption::from_edns(*raw);
-        const auto issues = ecs.validate(/*in_query=*/true);
-        const bool malformed = std::any_of(
-            issues.begin(), issues.end(), [](dnscore::EcsIssue issue) {
-              return issue == dnscore::EcsIssue::kUnknownFamily ||
-                     issue == dnscore::EcsIssue::kSourceLengthTooLong ||
-                     issue == dnscore::EcsIssue::kAddressLengthMismatch;
-            });
-        if (malformed) {
-          Message formerr = Message::make_response(query);
-          formerr.header.rcode = RCode::FORMERR;
-          return formerr;
-        }
-        client_ecs = ecs;
-      } catch (const dnscore::WireFormatError&) {
-        Message formerr = Message::make_response(query);
-        formerr.header.rcode = RCode::FORMERR;
-        return formerr;
-      }
-    }
+  const EcsOption* client_ecs = nullptr;
+  bool malformed = false;
+  try {
+    client_ecs = query.ecs_into(s.client_ecs);
+  } catch (const dnscore::WireFormatError&) {
+    malformed = true;
+  }
+  if (client_ecs != nullptr) {
+    const auto issues = client_ecs->validate(/*in_query=*/true);
+    malformed = std::any_of(issues.begin(), issues.end(), [](dnscore::EcsIssue issue) {
+      return issue == dnscore::EcsIssue::kUnknownFamily ||
+             issue == dnscore::EcsIssue::kSourceLengthTooLong ||
+             issue == dnscore::EcsIssue::kAddressLengthMismatch;
+    });
+  }
+  response.reset_response(query);
+  if (malformed) {
+    response.header.rcode = RCode::FORMERR;
+    response.clear_ecs();
+    return true;
   }
 
-  const ClientIdentity identity = identify_client(query, sender);
+  const ClientIdentity identity = identify_client(client_ecs, sender);
 
-  Resolution resolution = resolve(q, identity);
+  const Resolution resolution = resolve(q, identity, s, response.answers);
 
-  Message response = Message::make_response(query);
   response.header.rcode = resolution.rcode;
-  response.answers = std::move(resolution.answers);
-  if (client_ecs && resolution.echo_scope && response.opt) {
+  std::optional<Prefix> echo_source;
+  if (client_ecs != nullptr && resolution.echo_scope && response.opt) {
+    echo_source = client_ecs->source_prefix();
+  }
+  if (echo_source) {
     // RFC 7871 §7.2.2: the response option echoes the client's FAMILY,
     // SOURCE PREFIX-LENGTH, and address exactly as received — not the
     // resolver's own truncation policy. A source-0 opt-out is echoed as
     // /0 with scope 0; the old behavior of announcing a non-/0 prefix to
     // an opted-out client leaked the resolver's identity policy.
-    if (const auto src = client_ecs->source_prefix()) {
-      const int scope = src->length() == 0 ? 0 : *resolution.echo_scope;
-      response.set_ecs(EcsOption::for_response(*src, scope));
-    }
+    const int scope = echo_source->length() == 0 ? 0 : *resolution.echo_scope;
+    s.client_ecs.assign_from_prefix(*echo_source, scope);
+    response.set_ecs(s.client_ecs);
+  } else {
+    response.clear_ecs();
   }
   if (tracer.enabled()) {
     tracer.record({network_.now(), obs::TraceKind::kClientResponse, own_address_,
                    sender, 0, dnscore::to_string(response.header.rcode)});
   }
-  return response;
+  return true;
 }
 
 RecursiveResolver::Resolution RecursiveResolver::resolve(
-    const Question& question, const ClientIdentity& identity) {
+    const Question& question, const ClientIdentity& identity, ResolutionScratch& s,
+    std::vector<ResourceRecord>& answers) {
   Resolution out;
   Question current = question;
   const SimTime now = network_.now();
@@ -321,14 +433,10 @@ RecursiveResolver::Resolution RecursiveResolver::resolve(
         // do — hit stays null only if neither matched.
       }
       if (hit != nullptr) {
-        // Copy the fields we need out of the entry immediately: the pointer
-        // lives in flat-table storage that relocates on the next cache
-        // mutation (cache.h), and the CNAME-restart path below re-enters
-        // the cache while this answer is still being assembled.
-        std::vector<ResourceRecord> records = hit->records;
-        const SimTime expiry = hit->expiry;
-        const std::uint8_t echo_scope = hit->scope;
-        hit = nullptr;
+        // Everything is read out of the entry right here, before anything
+        // touches the cache again: the pointer lives in flat-table storage
+        // that relocates on the next cache mutation (cache.h), and the
+        // CNAME restart below re-enters the cache.
         ++counters_.cache_hits;
         metrics_.cache_hits.inc();
         auto& tracer = obs::TraceRing::global();
@@ -337,14 +445,14 @@ RecursiveResolver::Resolution RecursiveResolver::resolve(
                          own_address_, 0, current.qname.to_string()});
         }
         out.rcode = RCode::NOERROR;
-        out.echo_scope = echo_scope;
+        out.echo_scope = hit->scope;
         // CNAME chain may continue from the cached records.
         bool restarted = false;
         if (current.qtype != RRType::CNAME) {
-          for (const auto& rr : records) {
+          for (const auto& rr : hit->records) {
             if (rr.type == RRType::CNAME && rr.name == current.qname) {
               bool have_final = false;
-              for (const auto& other : records) {
+              for (const auto& other : hit->records) {
                 if (other.type == current.qtype) have_final = true;
               }
               if (!have_final) {
@@ -355,12 +463,14 @@ RecursiveResolver::Resolution RecursiveResolver::resolve(
             }
           }
         }
-        for (auto& rr : records) {
-          // Serve the remaining TTL, per standard resolver behavior.
-          rr.ttl = static_cast<std::uint32_t>(
-              std::max<SimTime>(expiry - now, 0) / netsim::kSecond);
-          out.answers.push_back(std::move(rr));
+        // Serve the remaining TTL, per standard resolver behavior.
+        const auto ttl = static_cast<std::uint32_t>(
+            std::max<SimTime>(hit->expiry - now, 0) / netsim::kSecond);
+        for (const auto& rr : hit->records) {
+          answers.push_back(rr);
+          answers.back().ttl = ttl;
         }
+        hit = nullptr;
         if (!restarted) return out;
         ++counters_.cname_restarts;
         metrics_.cname_restarts.inc();
@@ -369,20 +479,20 @@ RecursiveResolver::Resolution RecursiveResolver::resolve(
     }
 
     // 2. Iterative resolution.
-    auto response = query_authoritatives(current, identity);
-    if (!response) {
+    if (!query_authoritatives(current, identity, s)) {
       ++counters_.servfails;
       metrics_.servfails.inc();
       out.rcode = RCode::SERVFAIL;
       return out;
     }
-    cache_answer(current, identity, *response, out);
-    out.rcode = response->header.rcode;
-    for (const auto& rr : response->answers) out.answers.push_back(rr);
+    const Message& response = s.response;
+    cache_answer(current, identity, response, s.response_ecs, out);
+    out.rcode = response.header.rcode;
+    answers.insert(answers.end(), response.answers.begin(), response.answers.end());
 
     // CNAME restart if the answer ends in a dangling CNAME.
-    if (current.qtype != RRType::CNAME && !response->answers.empty()) {
-      const auto& last = response->answers.back();
+    if (current.qtype != RRType::CNAME && !response.answers.empty()) {
+      const auto& last = response.answers.back();
       if (last.type == RRType::CNAME) {
         current.qname = std::get<dnscore::CnameRdata>(last.rdata).target;
         ++counters_.cname_restarts;
@@ -401,35 +511,43 @@ void RecursiveResolver::note_rtt(const IpAddress& server, double sample_us) {
   if (!inserted) it->second = 0.7 * it->second + 0.3 * sample_us;
 }
 
-std::vector<IpAddress> RecursiveResolver::order_by_srtt(
-    std::vector<IpAddress> servers) const {
+void RecursiveResolver::order_by_srtt(const std::vector<IpAddress>& servers,
+                                      std::vector<IpAddress>& out) const {
   // Unknown servers sort ahead of anything slower than 10 ms so they get
-  // probed; a stable sort keeps referral order among ties.
+  // probed. A stable insertion sort keeps referral order among ties — the
+  // order std::stable_sort gives — without a temporary buffer; a
+  // delegation lists at most a handful of servers.
   const auto score = [this](const IpAddress& s) {
     const auto it = srtt_us_.find(s);
     return it == srtt_us_.end() ? 10'000.0 : it->second;
   };
-  std::stable_sort(servers.begin(), servers.end(),
-                   [&score](const IpAddress& a, const IpAddress& b) {
-                     return score(a) < score(b);
-                   });
-  return servers;
+  // ecstidy:allow(noalloc): the leased order buffer grows only on first
+  // use or for a wider delegation than any before; refills reuse it.
+  out.assign(servers.begin(), servers.end());
+  for (std::size_t i = 1; i < out.size(); ++i) {
+    const IpAddress moving = out[i];
+    const double moving_score = score(moving);
+    std::size_t j = i;
+    for (; j > 0 && moving_score < score(out[j - 1]); --j) out[j] = out[j - 1];
+    out[j] = moving;
+  }
 }
 
-RecursiveResolver::NsSet RecursiveResolver::nameservers_for(const Name& qname) {
+RecursiveResolver::NsSet RecursiveResolver::nameservers_for(const Name& qname) const {
   // Deepest cached delegation wins.
+  static const Name kRoot;
   Name walk = qname;
   const SimTime now = network_.now();
   for (;;) {
     const auto it = ns_cache_.find(walk);
     if (it != ns_cache_.end() && it->second.expiry > now &&
         !it->second.addresses.empty()) {
-      return NsSet{walk, it->second.addresses};
+      return NsSet{it->first, it->second.addresses};
     }
     if (walk.is_root()) break;
     walk = walk.parent();
   }
-  return NsSet{Name{}, root_hints_};
+  return NsSet{kRoot, root_hints_};
 }
 
 void RecursiveResolver::cache_referral(const Message& response) {
@@ -451,12 +569,26 @@ void RecursiveResolver::cache_referral(const Message& response) {
   }
 }
 
-std::optional<Message> RecursiveResolver::query_authoritatives(
-    const Question& question, const ClientIdentity& identity) {
+bool RecursiveResolver::parse_reply(std::vector<std::uint8_t>&& wire, Message& out) {
+  bool parsed = true;
+  try {
+    Message::parse_into({wire.data(), wire.size()}, out);
+  } catch (const dnscore::WireFormatError&) {
+    parsed = false;
+  }
+  network_.buffer_pool().release(std::move(wire));
+  return parsed;
+}
+
+bool RecursiveResolver::query_authoritatives(const Question& question,
+                                             const ClientIdentity& identity,
+                                             ResolutionScratch& s) {
+  Message& query = s.query;
+  Message& response = s.response;
   for (int hop = 0; hop < kMaxReferrals; ++hop) {
     const NsSet ns_set = nameservers_for(question.qname);
-    const std::vector<IpAddress> servers = order_by_srtt(ns_set.addresses);
-    if (servers.empty()) return std::nullopt;
+    order_by_srtt(ns_set.addresses, s.servers);
+    if (s.servers.empty()) return false;
 
     // ECS belongs on queries to the servers of the content zone, not on
     // infrastructure hops: roots (zone depth 0) and TLDs (depth 1) are
@@ -475,24 +607,25 @@ std::optional<Message> RecursiveResolver::query_authoritatives(
       send_qtype = RRType::NS;
     }
 
-    Message query = Message::make_query(next_id_++, send_qname, send_qtype);
-    query.header.rd = false;
-    query.opt = dnscore::OptRecord{};
-    const auto ecs = upstream_ecs(question, identity, infrastructure_hop,
-                                  /*cache_missed=*/true);
-    if (ecs) query.set_ecs(*ecs);
+    const std::uint16_t id = next_id_++;
+    const bool ecs = upstream_ecs(question, identity, infrastructure_hop,
+                                  /*cache_missed=*/true, s.upstream_ecs);
+    build_query(query, s.parked_ecs, id, send_qname, send_qtype,
+                ecs ? &s.upstream_ecs : nullptr);
 
     // One serialization per hop, reused across every server candidate and
     // the TCP retry (the bytes are identical); the buffer itself is
-    // recycled through the network's pool.
+    // recycled through the network's pool. A one-question query has
+    // nothing to compress, so it is written uncompressed and needs no
+    // compression table.
     auto query_wire = network_.buffer_pool().acquire();
     {
       dnscore::WireWriter writer(query_wire);
-      query.serialize_into(writer);
+      query.serialize_into(writer, /*compress=*/false);
     }
 
-    std::optional<Message> response;
-    for (const auto& server : servers) {
+    bool answered = false;
+    for (const auto& server : s.servers) {
       ++counters_.upstream_queries;
       metrics_.upstream_queries.inc();
       if (ecs) {
@@ -504,94 +637,74 @@ std::optional<Message> RecursiveResolver::query_authoritatives(
         tracer.record({network_.now(), obs::TraceKind::kUpstreamQuery,
                        own_address_, server, 0,
                        send_qname.to_string() +
-                           (ecs ? " " + ecs->to_string() : std::string{})});
+                           (ecs ? " " + s.upstream_ecs.to_string() : std::string{})});
       }
       const SimTime sent_at = network_.now();
       auto wire = network_.round_trip(own_address_, server, query_wire);
       note_rtt(server, static_cast<double>(network_.now() - sent_at));
       if (!wire) continue;  // timeout: try the next address
-      bool parsed = true;
-      try {
-        response = Message::parse({wire->data(), wire->size()});
-      } catch (const dnscore::WireFormatError&) {
-        parsed = false;
-      }
-      network_.buffer_pool().release(std::move(*wire));
-      if (!parsed) continue;
-      if (response->header.tc) {
+      if (!parse_reply(std::move(*wire), response)) continue;
+      if (response.header.tc) {
         // Truncated over UDP: retry the same server over TCP. A truncated
         // answer is never used, so a TCP timeout moves on to the next server.
         ++counters_.upstream_queries;
         metrics_.upstream_queries.inc();
         auto tcp_wire = network_.round_trip(own_address_, server, query_wire,
                                             /*tcp=*/true);
-        if (!tcp_wire) {
-          response.reset();
-          continue;
-        }
-        try {
-          response = Message::parse({tcp_wire->data(), tcp_wire->size()});
-        } catch (const dnscore::WireFormatError&) {
-          response.reset();
-          parsed = false;
-        }
-        network_.buffer_pool().release(std::move(*tcp_wire));
-        if (!parsed) continue;
+        if (!tcp_wire || !parse_reply(std::move(*tcp_wire), response)) continue;
       }
-      if (response->header.rcode == RCode::FORMERR && query.opt) {
+      if (response.header.rcode == RCode::FORMERR && query.opt) {
         // RFC 6891 §6.2.2 fallback: a pre-EDNS server choked on the OPT
-        // record (§6.1 cites these); retry the same server plain.
+        // record (§6.1 cites these); retry the same server plain. The
+        // FORMERR is never the answer, so a retry that times out (or does
+        // not parse) moves on to the next server like any other failure.
         ++counters_.edns_fallbacks;
         metrics_.edns_fallbacks.inc();
-        Message plain = query;
-        plain.opt.reset();
         ++counters_.upstream_queries;
         metrics_.upstream_queries.inc();
         auto plain_wire = network_.buffer_pool().acquire();
         {
+          // The same message without its OPT record; swapping the record
+          // aside and back keeps its option slots.
+          std::optional<dnscore::OptRecord> opt;
+          opt.swap(query.opt);
           dnscore::WireWriter writer(plain_wire);
-          plain.serialize_into(writer);
+          query.serialize_into(writer, /*compress=*/false);
+          opt.swap(query.opt);
         }
         auto retry_wire = network_.round_trip(own_address_, server, plain_wire);
         network_.buffer_pool().release(std::move(plain_wire));
-        if (retry_wire) {
-          try {
-            response = Message::parse({retry_wire->data(), retry_wire->size()});
-          } catch (const dnscore::WireFormatError&) {
-            response.reset();
-            parsed = false;
-          }
-          network_.buffer_pool().release(std::move(*retry_wire));
-          if (!parsed) continue;
-        }
+        if (!retry_wire || !parse_reply(std::move(*retry_wire), response)) continue;
       }
+      answered = true;
       break;
     }
     network_.buffer_pool().release(std::move(query_wire));
-    if (!response) return std::nullopt;
+    if (!answered) return false;
 
-    if (!response->answers.empty() || response->header.rcode != RCode::NOERROR) {
-      return response;
+    if (!response.answers.empty() || response.header.rcode != RCode::NOERROR) {
+      return true;
     }
     // A referral has NS records in the authority section; a NoData answer
     // carries at most an SOA there.
     const bool is_referral = std::any_of(
-        response->authorities.begin(), response->authorities.end(),
+        response.authorities.begin(), response.authorities.end(),
         [](const dnscore::ResourceRecord& rr) { return rr.type == RRType::NS; });
     if (is_referral) {
       ++counters_.referrals_followed;
       metrics_.referrals_followed.inc();
-      cache_referral(*response);
+      cache_referral(response);
       continue;  // descend to the delegated servers
     }
-    return response;  // authoritative NoData
+    return true;  // authoritative NoData
   }
-  return std::nullopt;
+  return false;
 }
 
 void RecursiveResolver::cache_answer(const Question& question,
                                      const ClientIdentity& identity,
-                                     const Message& response, Resolution& out) {
+                                     const Message& response, EcsOption& ecs_slot,
+                                     Resolution& out) {
   // Negative results go into the RFC 2308 cache; the TTL comes from the
   // authority SOA minimum when present.
   if (response.header.rcode == RCode::NXDOMAIN ||
@@ -612,7 +725,9 @@ void RecursiveResolver::cache_answer(const Question& question,
   }
   if (response.header.rcode != RCode::NOERROR || response.answers.empty()) return;
   if (caching_disabled_for(question.qname)) {
-    if (auto ecs = response.ecs()) out.echo_scope = ecs->scope_prefix_length();
+    if (const auto* ecs = response.ecs_into(ecs_slot)) {
+      out.echo_scope = ecs->scope_prefix_length();
+    }
     return;
   }
   const SimTime now = network_.now();
@@ -620,7 +735,7 @@ void RecursiveResolver::cache_answer(const Question& question,
   const SimTime ttl = static_cast<SimTime>(ttl_s) * netsim::kSecond;
   if (ttl <= 0) return;
 
-  const auto ecs = response.ecs();
+  const EcsOption* ecs = response.ecs_into(ecs_slot);
   const int family_cap =
       identity.address.is_v4() ? config_.max_cache_prefix_v4 : config_.max_cache_prefix_v6;
 

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "dnscore/annotations.h"
 #include "dnscore/hashing.h"
 #include "dnscore/message.h"
 #include "netsim/network.h"
@@ -51,6 +52,11 @@ struct ResolverCounters {
   std::uint64_t cname_restarts = 0;
 };
 
+// Per-resolution working storage (the upstream query and its reply, decoded
+// ECS options, the server order), leased from a thread-local freelist for
+// the length of one client query; defined in recursive.cpp.
+struct ResolutionScratch;
+
 class RecursiveResolver {
  public:
   RecursiveResolver(ResolverConfig config, netsim::Network& network,
@@ -60,7 +66,14 @@ class RecursiveResolver {
   ResolverConfig& mutable_config() noexcept { return config_; }
   const IpAddress& address() const noexcept { return own_address_; }
 
-  // Serves one client query end to end; nullopt drops the query.
+  // Serves one client query end to end into `response`, a message the
+  // caller keeps: it is reset as Message::reset_response does and the
+  // answers are appended straight into it, so a retained response reaches
+  // a steady state with no heap allocation per query. Returns false when
+  // the query is dropped (`response` is then unspecified).
+  bool handle_client_query_into(const Message& query, const IpAddress& sender,
+                                Message& response);
+  // Wrapper over handle_client_query_into; nullopt drops the query.
   std::optional<Message> handle_client_query(const Message& query,
                                              const IpAddress& sender);
 
@@ -74,38 +87,53 @@ class RecursiveResolver {
  private:
   struct Resolution {
     dnscore::RCode rcode = dnscore::RCode::SERVFAIL;
-    std::vector<dnscore::ResourceRecord> answers;
     // Scope to echo to the client (nullopt: no ECS in the response).
     std::optional<int> echo_scope;
   };
 
-  ClientIdentity identify_client(const Message& query, const IpAddress& sender);
-  // The ECS option to attach upstream, if any, per the probing strategy and
-  // prefix policy. `infrastructure_hop` marks queries to root/TLD servers,
-  // which compliant resolvers never send ECS to.
-  std::optional<dnscore::EcsOption> upstream_ecs(const Question& question,
-                                                 const ClientIdentity& identity,
-                                                 bool infrastructure_hop,
-                                                 bool cache_missed);
-  // Builds the announced prefix from a client identity (applies truncation,
-  // the jam-last-octet deviation, and — when enabled — the per-zone scope
-  // adaptation learned from earlier responses).
-  dnscore::EcsOption build_option(const Question& question,
-                                  const ClientIdentity& identity) const;
+  // `client_ecs` is the client's decoded ECS option, or null.
+  ClientIdentity identify_client(const dnscore::EcsOption* client_ecs,
+                                 const IpAddress& sender);
+  // Fills `out` with the ECS option to attach upstream and returns true, or
+  // returns false for none, per the probing strategy and prefix policy.
+  // `infrastructure_hop` marks queries to root/TLD servers, which compliant
+  // resolvers never send ECS to.
+  ECSDNS_NOALLOC bool upstream_ecs(const Question& question,
+                                   const ClientIdentity& identity,
+                                   bool infrastructure_hop, bool cache_missed,
+                                   dnscore::EcsOption& out);
+  // Builds the announced prefix from a client identity into `out` (applies
+  // truncation, the jam-last-octet deviation, and — when enabled — the
+  // per-zone scope adaptation learned from earlier responses).
+  ECSDNS_NOALLOC void build_option(const Question& question,
+                                   const ClientIdentity& identity,
+                                   dnscore::EcsOption& out) const;
   std::optional<ClientIdentity> self_identity() const;
 
-  Resolution resolve(const Question& question, const ClientIdentity& identity);
+  // Resolves `question`, appending the answer records to `answers`.
+  Resolution resolve(const Question& question, const ClientIdentity& identity,
+                     ResolutionScratch& scratch,
+                     std::vector<dnscore::ResourceRecord>& answers);
   // One iterative descent for a single owner name (no CNAME restarts).
-  std::optional<Message> query_authoritatives(const Question& question,
-                                              const ClientIdentity& identity);
+  // Returns true with the final reply in `scratch.response`.
+  bool query_authoritatives(const Question& question,
+                            const ClientIdentity& identity,
+                            ResolutionScratch& scratch);
+  // Decodes a reply into `out` and hands the wire buffer back to the pool;
+  // false when the bytes do not parse.
+  bool parse_reply(std::vector<std::uint8_t>&& wire, Message& out);
+  // The servers for the deepest cached delegation covering `qname` (or the
+  // root hints): references into the NS cache, valid until it changes.
   struct NsSet {
-    dnscore::Name zone;  // the delegation point these servers cover
-    std::vector<IpAddress> addresses;
+    const dnscore::Name& zone;  // the delegation point these servers cover
+    const std::vector<IpAddress>& addresses;
   };
-  NsSet nameservers_for(const dnscore::Name& qname);
+  ECSDNS_NOALLOC NsSet nameservers_for(const dnscore::Name& qname) const;
   void cache_referral(const Message& response);
+  // `ecs_slot` receives the reply's decoded ECS option.
   void cache_answer(const Question& question, const ClientIdentity& identity,
-                    const Message& response, Resolution& out);
+                    const Message& response, dnscore::EcsOption& ecs_slot,
+                    Resolution& out);
   bool name_matches_probe_list(const dnscore::Name& qname) const;
   bool zone_whitelisted(const dnscore::Name& qname) const;
   bool caching_disabled_for(const dnscore::Name& qname) const;
@@ -172,7 +200,9 @@ class RecursiveResolver {
   // gracefully to referral order.
   std::unordered_map<IpAddress, double, dnscore::IpAddressHash> srtt_us_;
   void note_rtt(const IpAddress& server, double sample_us);
-  std::vector<IpAddress> order_by_srtt(std::vector<IpAddress> servers) const;
+  // Orders `servers` into `out` (contents replaced, capacity reused).
+  ECSDNS_NOALLOC void order_by_srtt(const std::vector<IpAddress>& servers,
+                                    std::vector<IpAddress>& out) const;
 };
 
 }  // namespace ecsdns::resolver

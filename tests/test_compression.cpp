@@ -25,11 +25,14 @@ TEST(Compression, SecondOccurrenceBecomesPointer) {
 }
 
 TEST(Compression, SharedSuffixReusesTail) {
+  // The table indexes into the names' buffers, so they must outlive it.
+  const Name a = Name::from_string("a.example.com");
+  const Name b = Name::from_string("b.example.com");
   Name::CompressionTable table;
   WireWriter w;
-  Name::from_string("a.example.com").serialize_compressed(w, table);
+  a.serialize_compressed(w, table);
   const std::size_t len_first = w.size();
-  Name::from_string("b.example.com").serialize_compressed(w, table);
+  b.serialize_compressed(w, table);
   // "b" label (2 bytes) + pointer (2 bytes) = 4.
   EXPECT_EQ(w.size(), len_first + 4);
   WireReader r({w.data().data(), w.data().size()});
@@ -38,11 +41,13 @@ TEST(Compression, SharedSuffixReusesTail) {
 }
 
 TEST(Compression, CaseInsensitiveSuffixMatch) {
+  const Name www = Name::from_string("www.EXAMPLE.com");
+  const Name api = Name::from_string("api.example.COM");
   Name::CompressionTable table;
   WireWriter w;
-  Name::from_string("www.EXAMPLE.com").serialize_compressed(w, table);
+  www.serialize_compressed(w, table);
   const std::size_t len_first = w.size();
-  Name::from_string("api.example.COM").serialize_compressed(w, table);
+  api.serialize_compressed(w, table);
   EXPECT_EQ(w.size(), len_first + 4 + 2);  // "api" + pointer
 }
 

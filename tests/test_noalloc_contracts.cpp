@@ -17,6 +17,7 @@
 #include "live/client.h"
 #include "live/udp_server.h"
 #include "measurement/cache_sim.h"
+#include "measurement/testbed.h"
 #include "netsim/buffer_pool.h"
 #include "netsim/socket.h"
 #include "obs/alloc_counter.h"
@@ -288,6 +289,97 @@ TEST_P(BoundedNoalloc, BoundedReplaySteadyStateIsAllocationFree) {
   EXPECT_GT(result.per_resolver[0].premature_evictions, 0u);
   EXPECT_GT(result.per_resolver[0].hits, 0u);
   EXPECT_EQ(result.per_resolver[0].max_cache_size, 48u);
+}
+
+// Message::parse_into re-decodes into a retained message: once the section
+// vectors and the OPT option slots have held a message of this shape,
+// parsing another one (different values, same shape) allocates nothing.
+TEST(Message, ParseIntoReusesCapacity) {
+  const Name zone = Name::from_string("cdn.example");
+  const auto wire_for = [&zone](std::uint8_t i) {
+    Message m = Message::make_query(i, zone.prepend("www"), RRType::A);
+    m.header.qr = true;
+    m.answers.push_back(dnscore::ResourceRecord::make_a(
+        zone.prepend("www"), 20, dnscore::IpAddress::v4(203, 0, 113, i)));
+    m.authorities.push_back(dnscore::ResourceRecord::make_ns(
+        zone, 86400, zone.prepend("ns1")));
+    m.additional.push_back(dnscore::ResourceRecord::make_a(
+        zone.prepend("ns1"), 86400, dnscore::IpAddress::v4(90, 0, 0, i)));
+    m.set_ecs(dnscore::EcsOption::for_response(
+        dnscore::Prefix(dnscore::IpAddress::v4(100, 64, i, 0), 24), 24));
+    return m.serialize();
+  };
+  std::vector<std::vector<std::uint8_t>> wires;
+  for (std::uint8_t i = 1; i <= 8; ++i) wires.push_back(wire_for(i));
+  Message retained;
+  Message::parse_into(wires[0], retained);  // warm-up: sizes every slot
+  const auto before = allocs();
+  for (int round = 0; round < 50; ++round) {
+    for (const auto& wire : wires) Message::parse_into(wire, retained);
+  }
+  EXPECT_EQ(allocs(), before) << "re-parsing a same-shaped message allocated";
+  EXPECT_EQ(retained.answers.size(), 1u);
+  EXPECT_EQ(retained.ecs()->source_prefix_length(), 24);
+}
+
+// The recursive resolver end to end over netsim: a client query answered
+// into a retained response, through the leased upstream exchange (query
+// built in place, reply decoded by parse_into) and the authoritative's
+// dispatch scratch. Query logging is off: log entries are kept storage.
+class ResolverNoalloc : public ::testing::Test {
+ protected:
+  ResolverNoalloc() {
+    authoritative::AuthConfig config;
+    config.log_queries = false;
+    auto& auth = bed_.add_auth("cdn", zone_, "Ashburn",
+                               std::make_unique<authoritative::FixedScopePolicy>(24),
+                               config);
+    auth.find_zone(zone_)->add(dnscore::ResourceRecord::make_a(
+        host_, 20, dnscore::IpAddress::v4(203, 0, 113, 1)));
+  }
+
+  // Warms every retained buffer with a few queries, then counts the
+  // allocations of `rounds` more.
+  std::uint64_t steady_state_allocs(resolver::RecursiveResolver& resolver,
+                                    int rounds) {
+    const Message query = Message::make_query(1, host_, RRType::A);
+    Message response;
+    const auto ask = [&] {
+      ASSERT_TRUE(resolver.handle_client_query_into(query, client_, response));
+      ASSERT_EQ(response.header.rcode, dnscore::RCode::NOERROR);
+      ASSERT_EQ(response.answers.size(), 1u);
+    };
+    for (int i = 0; i < 4; ++i) ask();
+    const auto before = allocs();
+    for (int i = 0; i < rounds; ++i) ask();
+    return allocs() - before;
+  }
+
+  measurement::Testbed bed_;
+  const Name zone_ = Name::from_string("cdn.example");
+  const Name host_ = zone_.prepend("www");
+  const dnscore::IpAddress client_ = dnscore::IpAddress::v4(100, 64, 1, 5);
+};
+
+TEST_F(ResolverNoalloc, UpstreamExchangeSteadyStateIsAllocationFree) {
+  // A per-hostname prober with caching disabled for its probe name: every
+  // client query goes upstream with ECS.
+  auto config = resolver::ResolverConfig::hostname_prober_nocache();
+  config.probe_hostnames = {host_};
+  auto& resolver = bed_.add_resolver(config, "Chicago");
+  const auto upstream_before = resolver.counters().upstream_ecs_queries;
+  EXPECT_EQ(steady_state_allocs(resolver, 100), 0u)
+      << "the upstream exchange allocated in steady state";
+  // Every query reached the leaf with ECS (the root and TLD hops of the
+  // first one carry none).
+  EXPECT_EQ(resolver.counters().upstream_ecs_queries - upstream_before, 104u);
+}
+
+TEST_F(ResolverNoalloc, CacheHitIsAllocationFree) {
+  auto& resolver = bed_.add_resolver(resolver::ResolverConfig::correct(), "Chicago");
+  EXPECT_EQ(steady_state_allocs(resolver, 100), 0u)
+      << "answering from the cache allocated";
+  EXPECT_EQ(resolver.counters().cache_hits, 103u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, BoundedNoalloc,

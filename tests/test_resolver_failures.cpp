@@ -3,6 +3,8 @@
 // the scope<=source stipulation.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "authoritative/ecs_policy.h"
 #include "authoritative/server.h"
 #include "measurement/testbed.h"
@@ -47,6 +49,93 @@ TEST(ResolverFailures, EdnsFallbackOnFormErr) {
   EXPECT_EQ(r.header.rcode, RCode::NOERROR);
   EXPECT_EQ(r.first_address(), IpAddress::parse("1.1.1.1"));
   EXPECT_GE(resolver.counters().edns_fallbacks, 1u);
+}
+
+// A hostile double at `addr`: FORMERRs every query that carries an OPT
+// record (as a pre-EDNS server does) and then drops the plain retry.
+struct FormerrThenDrop {
+  int edns_queries = 0;
+  int plain_queries = 0;
+};
+
+void attach_formerr_then_drop(Testbed& bed, const IpAddress& addr,
+                              FormerrThenDrop& stats) {
+  bed.network().attach(
+      addr, bed.world().city("Ashburn").location,
+      [&stats](const netsim::Datagram& d) -> std::optional<std::vector<std::uint8_t>> {
+        const Message query = Message::parse(d.payload);
+        if (!query.opt) {
+          ++stats.plain_queries;
+          return std::nullopt;
+        }
+        ++stats.edns_queries;
+        Message response = Message::make_response(query);
+        response.opt.reset();
+        response.header.rcode = RCode::FORMERR;
+        return response.serialize();
+      });
+}
+
+authoritative::Zone& com_zone(Testbed& bed) {
+  for (const auto& server : bed.auth_servers()) {
+    auto* zone = server->find_zone(n("com"));
+    if (zone != nullptr && zone->apex() == n("com")) return *zone;
+  }
+  throw std::logic_error("no com TLD in the testbed");
+}
+
+TEST(ResolverFailures, EdnsFallbackTimeoutTriesNextServer) {
+  Testbed bed;
+  auto& healthy = bed.add_auth("healthy", n("fb.com"), "Ashburn",
+                               std::make_unique<ScopeDeltaPolicy>(0));
+  healthy.find_zone(n("fb.com"))
+      ->add(ResourceRecord::make_a(n("www.fb.com"), 60, IpAddress::v4(192, 0, 2, 7)));
+  auto& hostile = bed.add_auth("hostile", n("fb2.com"), "Ashburn",
+                               std::make_unique<ScopeDeltaPolicy>(0));
+  const IpAddress hostile_addr = bed.auth_address(hostile);
+  FormerrThenDrop stats;
+  attach_formerr_then_drop(bed, hostile_addr, stats);
+  // Delegate fb.com to both servers, the hostile one first: neither has an
+  // RTT estimate yet, so the resolver tries them in referral order.
+  const Name ns0 = n("ns0.fb.com");
+  const Name ns1 = n("ns1.fb.com");
+  com_zone(bed).delegate(
+      n("fb.com"),
+      {ResourceRecord::make_ns(n("fb.com"), 86400, ns0),
+       ResourceRecord::make_ns(n("fb.com"), 86400, ns1)},
+      {ResourceRecord::make_a(ns0, 86400, hostile_addr),
+       ResourceRecord::make_a(ns1, 86400, bed.auth_address(healthy))});
+
+  auto& resolver = bed.add_resolver(ResolverConfig::correct(), "Chicago");
+  const Message r = ask(resolver, "www.fb.com");
+  EXPECT_EQ(stats.edns_queries, 1);
+  EXPECT_EQ(stats.plain_queries, 1);
+  EXPECT_EQ(resolver.counters().edns_fallbacks, 1u);
+  EXPECT_EQ(r.header.rcode, RCode::NOERROR);
+  ASSERT_EQ(r.answers.size(), 1u);
+  EXPECT_EQ(std::get<dnscore::ARdata>(r.answers[0].rdata).address,
+            IpAddress::v4(192, 0, 2, 7));
+}
+
+TEST(ResolverFailures, EdnsFallbackTimeoutEndsInServfail) {
+  Testbed bed;
+  auto& auth = bed.add_auth("hostile", n("fb.com"), "Ashburn",
+                            std::make_unique<ScopeDeltaPolicy>(0));
+  FormerrThenDrop stats;
+  attach_formerr_then_drop(bed, bed.auth_address(auth), stats);
+
+  auto& resolver = bed.add_resolver(ResolverConfig::correct(), "Chicago");
+  const Message r = ask(resolver, "www.fb.com");
+  EXPECT_GT(stats.edns_queries, 0);
+  EXPECT_GT(stats.plain_queries, 0);
+  // The FORMERR was an answer to the EDNS query, not to the question: with
+  // no server left to try, the client gets SERVFAIL, and nothing is cached.
+  EXPECT_EQ(r.header.rcode, RCode::SERVFAIL);
+  EXPECT_TRUE(r.answers.empty());
+  EXPECT_EQ(resolver.counters().servfails, 1u);
+  EXPECT_EQ(resolver.cache().entries_for(n("www.fb.com"), dnscore::RRType::A,
+                                         bed.network().now()),
+            0u);
 }
 
 TEST(ResolverFailures, SilentEcsDropEndsInServfail) {

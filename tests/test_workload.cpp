@@ -2,6 +2,8 @@
 // policy, and the adapt-to-scope extension end to end.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "authoritative/ecs_policy.h"
 #include "measurement/fleet.h"
 #include "measurement/workload.h"
@@ -118,6 +120,111 @@ TEST_F(WorkloadTest, RequiresHostnames) {
   Fleet fleet = single(resolver::ResolverConfig::correct());
   WorkloadOptions wl;
   EXPECT_THROW(drive_fleet(bed_, fleet, wl), std::invalid_argument);
+}
+
+// FNV-1a over every field the pin below covers, fed as fixed-width
+// little-endian integers and length-prefixed byte strings.
+class Digest {
+ public:
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void bytes(const std::uint8_t* data, std::size_t size) {
+    u64(size);
+    for (std::size_t i = 0; i < size; ++i) byte(data[i]);
+  }
+  void text(const std::string& s) {
+    bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+  }
+  void ecs(const std::optional<dnscore::EcsOption>& option) {
+    u64(option.has_value());
+    if (!option) return;
+    u64(option->family());
+    u64(option->source_prefix_length());
+    u64(option->scope_prefix_length());
+    bytes(option->address_bytes().data(), option->address_bytes().size());
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void byte(std::uint8_t b) {
+    h_ ^= b;
+    h_ *= 0x100000001b3ull;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+void digest_log(Digest& d, const authoritative::AuthServer& server) {
+  d.u64(server.log().size());
+  for (const auto& e : server.log()) {
+    d.u64(static_cast<std::uint64_t>(e.time));
+    d.u64(static_cast<std::uint64_t>(e.sender.family()));
+    d.bytes(e.sender.bytes().data(), e.sender.bytes().size());
+    d.text(e.qname.to_string());
+    d.u64(static_cast<std::uint64_t>(e.qtype));
+    d.ecs(e.query_ecs);
+    d.ecs(e.response_ecs);
+    d.u64(static_cast<std::uint64_t>(e.rcode));
+  }
+}
+
+// Behaviour pin for the whole resolution path: a small CDN-dataset fleet
+// (every §6 probing class, jammed and v6 sources) driven through
+// drive_fleet. The digest covers every authoritative's full query log plus
+// each resolver's counters and cache statistics, so any change to a wire
+// byte, an RNG draw or the event order moves it. The constant was captured
+// before the resolution path was made allocation-free; it must never be
+// edited to make a refactor pass.
+TEST(Workload, QueryLogDigestIsPinned) {
+  Testbed bed;
+  const Name zone = Name::from_string("cdn.example");
+  auto& cdn = bed.add_auth("cdn", zone, "Ashburn",
+                           std::make_unique<authoritative::FixedScopePolicy>(24));
+  std::vector<Name> hostnames;
+  for (int i = 0; i < 16; ++i) {
+    const Name host = zone.prepend("h" + std::to_string(i));
+    cdn.find_zone(zone)->add(dnscore::ResourceRecord::make_a(
+        host, 20, dnscore::IpAddress::v4(203, 0, 113, static_cast<std::uint8_t>(i + 1))));
+    hostnames.push_back(host);
+  }
+  CdnFleetOptions fleet_options;
+  fleet_options.scale = 25;
+  fleet_options.probe_names = {hostnames[0], hostnames[1]};
+  Fleet fleet = build_cdn_dataset_fleet(bed, fleet_options);
+
+  WorkloadOptions wl;
+  wl.hostnames = hostnames;
+  wl.duration = 20 * netsim::kMinute;
+  wl.mean_query_gap = 1 * netsim::kMinute;
+  wl.seed = 5;
+  const WorkloadStats stats = drive_fleet(bed, fleet, wl);
+  ASSERT_GT(stats.client_queries, 1000u);
+  EXPECT_EQ(stats.answered, stats.client_queries);
+
+  Digest d;
+  d.u64(stats.client_queries);
+  d.u64(stats.answered);
+  digest_log(d, bed.root_server());
+  for (const auto& server : bed.auth_servers()) digest_log(d, *server);
+  for (const auto& member : fleet.members) {
+    const auto& c = member.resolver->counters();
+    for (const std::uint64_t v :
+         {c.client_queries, c.upstream_queries, c.upstream_ecs_queries, c.cache_hits,
+          c.negative_cache_hits, c.edns_fallbacks, c.servfails, c.referrals_followed,
+          c.cname_restarts}) {
+      d.u64(v);
+    }
+    auto& cache = member.resolver->cache();
+    const auto& s = cache.stats();
+    for (const std::uint64_t v :
+         {s.hits, s.misses, s.insertions, s.expired_evictions, s.capacity_evictions,
+          s.cleared_entries, s.replacements, s.ttl_zero_skips,
+          static_cast<std::uint64_t>(s.max_entries),
+          static_cast<std::uint64_t>(cache.size())}) {
+      d.u64(v);
+    }
+  }
+  EXPECT_EQ(d.value(), 0xa748b88ff1c011e2ull) << std::hex << "digest 0x" << d.value();
 }
 
 TEST(AdaptToScope, LearnsZoneGranularityAndRatchets) {
