@@ -23,24 +23,26 @@ int main(int argc, char** argv) {
   config.duration = bench::flag(argc, argv, "minutes", 4) * netsim::kMinute;
   config.seed = 3;
 
+  // Generated once, then every zone is forced to the swept granularity by
+  // rewriting the per-query scope. The generator draws its per-hostname
+  // scope table from a dedicated RNG stream, one draw per hostname whatever
+  // the weights, so this is exactly the trace each sweep value would
+  // generate with all weight on its scope.
+  config.scope24_weight = 1.0;
+  config.scope16_weight = 0.0;
+  config.scope8_weight = 0.0;
+  Trace trace = generate_public_resolver_cdn_trace(config);
+
+  CacheSimOptions options;
+  options.shards = static_cast<std::size_t>(obs_session.shards());
+  options.threads = static_cast<std::size_t>(obs_session.threads());
   TextTable table({"scope", "median blow-up", "max blow-up", "hit rate (%)"});
   for (const int scope : {8, 12, 16, 20, 22, 24}) {
-    // Force every zone to the swept granularity.
-    config.scope24_weight = scope == 24 ? 1.0 : 0.0;
-    config.scope16_weight = scope == 16 ? 1.0 : 0.0;
-    config.scope8_weight = scope == 8 ? 1.0 : 0.0;
-    Trace trace = generate_public_resolver_cdn_trace(config);
-    if (config.scope24_weight + config.scope16_weight + config.scope8_weight == 0.0) {
-      // Intermediate scopes are not in the generator's zone mix; rewrite
-      // the per-query scope directly.
-      config.scope24_weight = 1.0;
-      trace = generate_public_resolver_cdn_trace(config);
-      for (auto& q : trace.queries) q.scope = scope;
-      config.scope24_weight = 0.0;
-    }
-    auto factors = blowup_factors(trace, std::nullopt);
+    for (auto& q : trace.queries) q.scope = scope;
+    auto factors =
+        blowup_factors(trace, std::nullopt, options.shards, options.threads);
     const Cdf cdf(std::move(factors));
-    const auto sim = simulate_cache(trace, CacheSimOptions{true, std::nullopt, std::nullopt});
+    const auto sim = simulate_cache(trace, options);
     table.add_row({"/" + std::to_string(scope), TextTable::num(cdf.median()),
                    TextTable::num(cdf.max()),
                    TextTable::num(100 * sim.overall_hit_rate(), 1)});

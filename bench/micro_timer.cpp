@@ -1,9 +1,8 @@
-// Timer-queue microbenchmarks: the hierarchical timer wheel vs the binary
-// heap it replaced, at the pending-set sizes the streaming pipeline
-// actually holds (one arrival timer per fleet member, so 1M pending at
-// paper scale). The profiled steady-state op is the event loop's inner
-// loop: pop the earliest timer, do nothing, reschedule one at a random
-// future offset.
+// Timer-queue microbenchmarks: the hierarchical timer wheel at the
+// pending-set sizes the streaming pipeline actually holds (one arrival
+// timer per fleet member, so 1M pending at paper scale). The profiled
+// steady-state op is the event loop's inner loop: pop the earliest timer,
+// do nothing, reschedule one at a random future offset.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -25,17 +24,16 @@ using netsim::SimTime;
 // so wheel entries spread across levels 3-5 the way real arrivals do.
 constexpr double kMeanGapUs = 2.0e6;
 
-template <typename Queue>
-void churn(benchmark::State& state) {
+void BM_TimerWheelChurn(benchmark::State& state) {
   const auto pending = static_cast<std::size_t>(state.range(0));
-  Queue queue;
+  netsim::TimerWheel<unsigned> queue;
   netsim::Rng rng(7);
   SimTime now = 0;
   std::uint64_t seq = 0;
   for (std::size_t i = 0; i < pending; ++i) {
     queue.push(static_cast<SimTime>(rng.exponential(kMeanGapUs)), seq++, 0u);
   }
-  netsim::TimerEntry<unsigned> entry;
+  netsim::TimerEntry<unsigned> entry{};
   for (auto _ : state) {
     queue.pop_next(entry);
     now = entry.when;
@@ -45,26 +43,16 @@ void churn(benchmark::State& state) {
   benchmark::DoNotOptimize(now);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-
-void BM_TimerWheelChurn(benchmark::State& state) {
-  churn<netsim::TimerWheel<unsigned>>(state);
-}
 BENCHMARK(BM_TimerWheelChurn)->Arg(1000)->Arg(100000)->Arg(1000000);
-
-void BM_TimerHeapChurn(benchmark::State& state) {
-  churn<netsim::TimerHeap<unsigned>>(state);
-}
-BENCHMARK(BM_TimerHeapChurn)->Arg(1000)->Arg(100000)->Arg(1000000);
 
 // End-to-end through the EventLoop (std::function payloads, schedule_at
 // validation): one self-rescheduling chain per simulated member, run for a
-// fixed count of firings. Compares the two TimerQueue implementations with
-// everything else identical.
-void event_loop_churn(benchmark::State& state, netsim::TimerQueue impl) {
+// fixed count of firings.
+void BM_EventLoopWheel(benchmark::State& state) {
   const auto chains = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    netsim::EventLoop loop(impl);
+    netsim::EventLoop loop;
     netsim::Rng rng(11);
     std::uint64_t fired = 0;
     const std::uint64_t quota = chains * 4;
@@ -87,16 +75,7 @@ void event_loop_churn(benchmark::State& state, netsim::TimerQueue impl) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(chains) * 4);
 }
-
-void BM_EventLoopWheel(benchmark::State& state) {
-  event_loop_churn(state, netsim::TimerQueue::kWheel);
-}
 BENCHMARK(BM_EventLoopWheel)->Arg(1000)->Arg(100000);
-
-void BM_EventLoopHeap(benchmark::State& state) {
-  event_loop_churn(state, netsim::TimerQueue::kHeap);
-}
-BENCHMARK(BM_EventLoopHeap)->Arg(1000)->Arg(100000);
 
 }  // namespace
 

@@ -1,6 +1,6 @@
 """ecstidy — AST-level invariant checker for the ecsdns reproduction.
 
-Three check families that `scripts/lint.py` regexes cannot express:
+Three check families that line-oriented regexes cannot express:
 
   determinism   range-for / iterator loops over unordered containers whose
                 bodies reach an output sink (CSV / metrics JSON / trace /

@@ -1,9 +1,8 @@
-"""The legacy scripts/lint.py rules, folded into the ecstidy driver.
+"""The regex rules (wire-codec, deterministic-rng, bench-metrics).
 
-Same semantics as the regex linter they replace (wire-codec,
-deterministic-rng, bench-metrics), now with the shared finding format,
-suppression syntax, and exit-code contract. scripts/lint.py remains as a
-thin compatibility shim over `scripts/ecstidy --checks regex`.
+They run under the ecstidy driver with the shared finding format,
+suppression syntax, and exit-code contract; select them alone with
+`scripts/ecstidy --checks regex`.
 """
 from __future__ import annotations
 

@@ -1,7 +1,7 @@
 """Driver: file discovery, backend selection, suppression handling, report.
 
-Exit-code contract (shared by every entry point, including the lint.py
-shim): 0 = clean, 1 = unsuppressed findings, 2 = usage/internal error.
+Exit-code contract (shared by every entry point): 0 = clean, 1 =
+unsuppressed findings, 2 = usage/internal error.
 """
 from __future__ import annotations
 

@@ -115,7 +115,6 @@ class AuthServer {
   }
 
   const AuthConfig& config() const noexcept { return config_; }
-  void set_policy(std::unique_ptr<EcsPolicy> policy) { policy_ = std::move(policy); }
 
  private:
   // Answers into `response` (buffers reused). `ecs` is the decoded query

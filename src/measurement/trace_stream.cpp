@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "dnscore/ip.h"
-#include "measurement/sharding.h"
 
 namespace ecsdns::measurement {
 namespace {
@@ -122,9 +121,9 @@ IpAddress PublicResolverCdnStream::client_of(std::uint32_t r,
                                              std::uint32_t k) const noexcept {
   const std::uint64_t key = static_cast<std::uint64_t>(k) << 1;
   const std::uint32_t subnet = static_cast<std::uint32_t>(
-      mix64(salt_[r] ^ key) % subnets_[r]) & 0xffffu;
+      dnscore::mix64(salt_[r] ^ key) % subnets_[r]) & 0xffffu;
   const std::uint32_t host =
-      1 + static_cast<std::uint32_t>(mix64(salt_[r] ^ (key | 1)) % 250);
+      1 + static_cast<std::uint32_t>(dnscore::mix64(salt_[r] ^ (key | 1)) % 250);
   const std::uint32_t bits = (100u << 24) | ((subnet >> 8) << 16) |
                              ((subnet & 0xff) << 8) | host;
   return IpAddress::v4(bits);

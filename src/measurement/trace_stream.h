@@ -15,17 +15,26 @@
 // restricts it to the resolvers it owns.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
 
-#include "measurement/sharding.h"
+#include "dnscore/hashing.h"
 #include "measurement/tracegen.h"
 #include "netsim/rng.h"
 #include "netsim/timer_wheel.h"
 
 namespace ecsdns::measurement {
+
+// Shard owning a dense resolver id. The hash is content-based (never a
+// pointer or an iteration order), so a partition reproduces exactly across
+// runs, platforms, and thread counts — the foundation of the determinism
+// contract in docs/parallel_engine.md.
+inline std::size_t shard_of_id(std::uint64_t id, std::size_t shards) noexcept {
+  return shards <= 1 ? 0 : static_cast<std::size_t>(dnscore::mix64(id) % shards);
+}
 
 struct TraceStreamInfo {
   std::uint32_t hostnames = 0;

@@ -12,11 +12,7 @@ void EventLoop::schedule_in(SimTime delay, Callback fn) {
 
 void EventLoop::schedule_at(SimTime when, Callback fn) {
   if (when < now_) throw std::invalid_argument("scheduling in the past");
-  if (use_wheel_) {
-    wheel_.push(when, next_seq_++, std::move(fn));
-  } else {
-    heap_.push(when, next_seq_++, std::move(fn));
-  }
+  wheel_.push(when, next_seq_++, std::move(fn));
 }
 
 void EventLoop::advance(SimTime delta) {
@@ -27,7 +23,7 @@ void EventLoop::advance(SimTime delta) {
 std::size_t EventLoop::run() {
   std::size_t count = 0;
   TimerEntry<Callback> ev;
-  while (pop_next(ev)) {
+  while (wheel_.pop_next(ev)) {
     if (ev.when > now_) now_ = ev.when;
     ev.payload();
     ++count;
@@ -38,7 +34,7 @@ std::size_t EventLoop::run() {
 std::size_t EventLoop::run_until(SimTime deadline) {
   std::size_t count = 0;
   TimerEntry<Callback> ev;
-  while (next_event_time() <= deadline && pop_next(ev)) {
+  while (next_event_time() <= deadline && wheel_.pop_next(ev)) {
     if (ev.when > now_) now_ = ev.when;
     ev.payload();
     ++count;

@@ -1,12 +1,8 @@
 // A minimal discrete-event simulator: a virtual clock plus a pending-timer
 // store. Events at equal times fire in scheduling order.
 //
-// The store is a hierarchical timer wheel by default (O(1) insert/pop at
-// millions of pending timers — one Poisson stream per fleet member at paper
-// scale); the old binary heap remains selectable behind the same interface
-// for profiling (see bench/micro_timer.cpp and docs/perf.md). Both yield
-// the identical (when, seq) firing order, so the choice never changes
-// simulation results.
+// The store is a hierarchical timer wheel (O(1) insert/pop at millions of
+// pending timers — one Poisson stream per fleet member at paper scale).
 #pragma once
 
 #include <cstdint>
@@ -18,17 +14,12 @@
 
 namespace ecsdns::netsim {
 
-enum class TimerQueue { kWheel, kHeap };
-
 class EventLoop {
  public:
   using Callback = std::function<void()>;
 
   // Sentinel returned by next_event_time() on an empty queue.
   static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
-
-  EventLoop() = default;
-  explicit EventLoop(TimerQueue impl) : use_wheel_(impl == TimerQueue::kWheel) {}
 
   SimTime now() const noexcept { return now_; }
 
@@ -46,29 +37,17 @@ class EventLoop {
   // Runs events with fire time <= deadline, then sets now to the deadline.
   std::size_t run_until(SimTime deadline);
 
-  bool empty() const noexcept {
-    return use_wheel_ ? wheel_.empty() : heap_.empty();
-  }
-  std::size_t pending() const noexcept {
-    return use_wheel_ ? wheel_.size() : heap_.size();
-  }
+  bool empty() const noexcept { return wheel_.empty(); }
+  std::size_t pending() const noexcept { return wheel_.size(); }
 
   // Fire time of the earliest pending event, or kNever when the queue is
   // empty.
-  SimTime next_event_time() const noexcept {
-    return use_wheel_ ? wheel_.peek_next_time() : heap_.peek_next_time();
-  }
+  SimTime next_event_time() const noexcept { return wheel_.peek_next_time(); }
 
  private:
-  bool pop_next(TimerEntry<Callback>& out) {
-    return use_wheel_ ? wheel_.pop_next(out) : heap_.pop_next(out);
-  }
-
-  bool use_wheel_ = true;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   TimerWheel<Callback> wheel_;
-  TimerHeap<Callback> heap_;
 };
 
 }  // namespace ecsdns::netsim

@@ -50,7 +50,6 @@ class Network {
 
   EventLoop& loop() noexcept { return loop_; }
   SimTime now() const noexcept { return loop_.now(); }
-  const LatencyModel& latency_model() const noexcept { return latency_; }
 
   // Registers a node. Re-attaching an address replaces its service —
   // convenient for experiments that reconfigure a resolver mid-run.

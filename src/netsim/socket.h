@@ -107,12 +107,10 @@ class MockUdpSocket final : public UdpSocket {
 
   // --- inspection ---
   std::uint64_t sent_count() const noexcept { return sent_count_; }
-  // Copies of the accepted outbound datagrams, oldest first (cleared by the
-  // caller as needed). Recording can be disabled for noalloc loops.
+  // Copies of the accepted outbound datagrams, oldest first. Recording can
+  // be disabled for noalloc loops.
   const std::deque<std::vector<std::uint8_t>>& sent() const noexcept { return sent_; }
   void set_record_sends(bool record) { record_sends_ = record; }
-  void clear_sent() { sent_.clear(); }
-  std::size_t rx_queued() const noexcept { return rx_size_; }
 
   // --- UdpSocket ---
   IoStatus recv_batch(std::span<RecvSlot> slots, std::size_t& received) override;

@@ -10,20 +10,16 @@
 // amortized — each entry cascades at most once per level over its lifetime.
 //
 // Ordering contract (load-bearing for determinism): pop_next() yields
-// entries in exactly (when, seq) order, the same total order as the binary
-// heap it replaces, including entries pushed while draining a same-time
-// batch. The serial-equivalence oracle depends on this.
-//
-// TimerHeap<T> keeps the old std::priority_queue behind the identical
-// interface so the two can be profiled against each other (bench/
-// micro_timer.cpp) and swapped per-EventLoop.
+// entries in exactly (when, seq) order, the same total order as a binary
+// heap, including entries pushed while draining a same-time batch. The
+// serial-equivalence oracle depends on this; tests/test_timer_wheel.cpp
+// checks it against a reference heap.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -183,44 +179,6 @@ class TimerWheel {
   std::vector<TimerEntry<T>> slots_[kLevels][kSlots];
   std::vector<TimerEntry<T>> overflow_;
   std::vector<TimerEntry<T>> scratch_;  // cascade drain buffer, capacity reused
-};
-
-// The previous implementation — a binary heap — behind the TimerWheel
-// interface, kept for profiling and as a fallback.
-template <typename T>
-class TimerHeap {
- public:
-  static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
-
-  bool empty() const noexcept { return heap_.empty(); }
-  std::size_t size() const noexcept { return heap_.size(); }
-
-  void push(SimTime when, std::uint64_t seq, T payload) {
-    heap_.push(TimerEntry<T>{when, seq, std::move(payload)});
-  }
-
-  SimTime peek_next_time() const noexcept {
-    return heap_.empty() ? kNever : heap_.top().when;
-  }
-
-  bool pop_next(TimerEntry<T>& out) {
-    if (heap_.empty()) return false;
-    // priority_queue::top is const; the payload (std::function in the
-    // EventLoop) must be moved out, so cast away the const the same way
-    // the old EventLoop's copy did, minus the copy.
-    out = std::move(const_cast<TimerEntry<T>&>(heap_.top()));
-    heap_.pop();
-    return true;
-  }
-
- private:
-  struct Later {
-    bool operator()(const TimerEntry<T>& a, const TimerEntry<T>& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<TimerEntry<T>, std::vector<TimerEntry<T>>, Later> heap_;
 };
 
 }  // namespace ecsdns::netsim

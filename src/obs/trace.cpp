@@ -20,15 +20,6 @@ const char* to_string(TraceKind kind) {
 
 TraceRing::TraceRing(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 
-void TraceRing::set_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = capacity == 0 ? 1 : capacity;
-  ring_.clear();
-  ring_.shrink_to_fit();
-  next_ = 0;
-  recorded_ = 0;
-}
-
 void TraceRing::record(TraceEvent event) {
   if (!enabled_) return;
   std::lock_guard<std::mutex> lock(mu_);

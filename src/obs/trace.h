@@ -50,8 +50,6 @@ class TraceRing {
   bool enabled() const noexcept { return enabled_; }
   void set_enabled(bool on) noexcept { enabled_ = on; }
 
-  // Drops existing events and resizes the ring.
-  void set_capacity(std::size_t capacity);
   std::size_t capacity() const noexcept { return capacity_; }
 
   // Appends an event, overwriting the oldest once full. No-op while

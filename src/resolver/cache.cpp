@@ -6,19 +6,6 @@
 
 namespace ecsdns::resolver {
 
-namespace {
-
-// Deterministic size estimate: struct footprint plus owned-heap footprint of
-// the record set and name. Good enough for sizing curves; never reads the
-// allocator.
-std::size_t approx_entry_bytes(const Name& qname, const CacheEntry& entry) {
-  std::size_t bytes = sizeof(CacheEntry) + qname.wire_length();
-  bytes += entry.records.capacity() * sizeof(ResourceRecord);
-  return bytes;
-}
-
-}  // namespace
-
 EcsCache::EcsCache() { register_metrics(); }
 
 EcsCache::EcsCache(CacheConfig config) : config_(config) {
@@ -119,10 +106,8 @@ const CacheEntry* EcsCache::lookup(const Name& qname, RRType qtype,
   if (buckets.empty()) map_.erase(Key{qname, qtype});
 
   if (best != nullptr) {
-    // The sweep above guarantees a returned entry is live and its global
-    // flag agrees with its prefix length.
+    // The sweep above guarantees a returned entry is live.
     ECSDNS_DCHECK(best->expiry > now);
-    ECSDNS_DCHECK(best->global == (best->network.length() == 0));
     if (eviction_) eviction_->order.on_hit(static_cast<SlotEviction::Slot>(best->id));
     ++stats_.hits;
     metrics_.hits.inc();
@@ -154,13 +139,11 @@ void EcsCache::insert(const Name& qname, RRType qtype, const Prefix& network,
   }
   CacheEntry entry;
   entry.network = network;
-  entry.global = network.length() == 0;
   entry.records = std::move(records);
   entry.scope = echo_scope;
   entry.inserted_at = now;
   entry.expiry = now + ttl;
-  const auto key = entry.global ? Prefix{} : network;
-  entry.approx_bytes = approx_entry_bytes(qname, entry);
+  const auto key = network.length() == 0 ? Prefix{} : network;
   if (eviction_) {
     // A same-network insert replaces the old entry; retire its eviction
     // state before insert_or_assign overwrites (and forgets) its slot. The
@@ -175,13 +158,12 @@ void EcsCache::insert(const Name& qname, RRType qtype, const Prefix& network,
     }
     // Room first, then the slot: a victim's slot is recycled at once, so
     // the slab never outgrows the bound.
-    make_room(replacing ? 0 : 1, entry.approx_bytes, now);
+    make_room(replacing ? 0 : 1, now);
     const SlotEviction::Slot slot = eviction_->order.on_insert(network.length());
     auto& slots = eviction_->slots;
     if (slot >= slots.size()) slots.resize(std::size_t{slot} + 1);
     slots[slot] = EntryLoc{qname, qtype, key, network.length()};
     entry.id = slot;
-    live_bytes_ += entry.approx_bytes;
   }
   auto& bucket = map_[Key{qname, qtype}].bucket_for(network.length());
   const auto [slot, inserted] = bucket.entries.insert_or_assign(key, std::move(entry));
@@ -243,7 +225,6 @@ void EcsCache::clear() {
   metrics_.cleared_entries.inc(live_entries_);
   metrics_.live_entries.add(-static_cast<std::int64_t>(live_entries_));
   live_entries_ = 0;
-  live_bytes_ = 0;
   if (eviction_) eviction_->order.clear();
 }
 
@@ -262,27 +243,15 @@ void EcsCache::note_expirations(std::size_t n) {
 void EcsCache::forget_entry(const CacheEntry& entry) {
   ECSDNS_DCHECK(eviction_ != nullptr);
   eviction_->order.on_erase(static_cast<SlotEviction::Slot>(entry.id));
-  ECSDNS_DCHECK(live_bytes_ >= entry.approx_bytes);
-  live_bytes_ -= entry.approx_bytes;
 }
 
-void EcsCache::make_room(std::size_t incoming_entries, std::size_t incoming_bytes,
-                         SimTime now) {
-  const auto exceeds = [&] {
-    if (config_.capacity_entries &&
-        live_entries_ + incoming_entries > *config_.capacity_entries) {
-      return true;
-    }
-    if (config_.capacity_bytes &&
-        live_bytes_ + incoming_bytes > *config_.capacity_bytes) {
-      return true;
-    }
-    return false;
-  };
-  // tracked() can hit zero while the bound is still exceeded (a single
-  // entry larger than the byte budget); the entry is stored anyway — the
-  // bound is a target, not a hard allocator limit.
-  while (eviction_->order.tracked() > 0 && exceeds()) evict_victim(now);
+void EcsCache::make_room(std::size_t incoming_entries, SimTime now) {
+  // tracked() hits zero only under a zero-entry bound; the entry is then
+  // stored anyway, since an empty cache has no victim left to name.
+  while (eviction_->order.tracked() > 0 &&
+         live_entries_ + incoming_entries > *config_.capacity_entries) {
+    evict_victim(now);
+  }
 }
 
 void EcsCache::evict_victim(SimTime now) {

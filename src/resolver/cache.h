@@ -35,14 +35,12 @@ using netsim::SimTime;
 
 // One cached answer, valid for clients covered by `network` until `expiry`.
 struct CacheEntry {
-  Prefix network;   // scope-truncated prefix; length 0 = any client (of family)
-  bool global = false;  // scope 0 entries match clients of either family
+  Prefix network;  // scope-truncated prefix; length 0 = global, any client
   std::vector<ResourceRecord> records;
   std::uint8_t scope = 0;  // scope to echo to clients (RFC 7871 §7.2.1)
   SimTime inserted_at = 0;
   SimTime expiry = 0;
   EntryId id = 0;  // SlotEviction slot; unused in unbounded caches
-  std::size_t approx_bytes = 0;  // deterministic sizeof-based estimate
 };
 
 struct CacheStats {
@@ -72,8 +70,8 @@ class EcsCache {
  public:
   // Unbounded (the paper's §7 baseline): entries leave only by TTL.
   EcsCache();
-  // Bounded: once `config.capacity_entries` / `capacity_bytes` is exceeded,
-  // `config.policy` names victims until the cache fits again.
+  // Bounded: once `config.capacity_entries` is exceeded, `config.policy`
+  // names victims until the cache fits again.
   explicit EcsCache(CacheConfig config);
 
   // Looks up an answer valid for `client` at virtual time `now`. A nullopt
@@ -99,8 +97,6 @@ class EcsCache {
   std::size_t entries_for(const Name& qname, RRType qtype, SimTime now);
 
   std::size_t size() const noexcept { return live_entries_; }
-  // Approximate bytes held by live entries; tracked only when bounded.
-  std::size_t approx_bytes() const noexcept { return live_bytes_; }
   const CacheConfig& config() const noexcept { return config_; }
   const CacheStats& stats() const noexcept { return stats_; }
   void reset_stats() { stats_ = CacheStats{}; }
@@ -182,23 +178,20 @@ class EcsCache {
   std::unique_ptr<Eviction> eviction_;  // null when unbounded
   CacheStats stats_;
   std::size_t live_entries_ = 0;
-  std::size_t live_bytes_ = 0;
   Metrics metrics_;
 
   void register_metrics();
   void note_size();
   void note_expirations(std::size_t n);
   // Drops a live entry from the eviction bookkeeping (victim order and its
-  // slot, byte accounting). No-op stats-wise; callers count the exit
-  // themselves.
+  // slot). No-op stats-wise; callers count the exit themselves.
   // The eviction path runs inside insert(), i.e. on the resolution hot
   // path, and only ever shrinks structures — it must not allocate.
   ECSDNS_NOALLOC void forget_entry(const CacheEntry& entry);
   // Evicts strategy-named victims until an insert adding `incoming_entries`
-  // entries and `incoming_bytes` bytes fits the configured bound — room is
-  // made BEFORE the insert, so the bound is never observably exceeded.
-  ECSDNS_NOALLOC void make_room(std::size_t incoming_entries,
-                                std::size_t incoming_bytes, SimTime now);
+  // entries fits the configured bound — room is made BEFORE the insert, so
+  // the bound is never observably exceeded.
+  ECSDNS_NOALLOC void make_room(std::size_t incoming_entries, SimTime now);
   // Evicts exactly one strategy-named victim.
   ECSDNS_NOALLOC void evict_victim(SimTime now);
 };

@@ -141,8 +141,8 @@ struct ResolverConfig {
 
   // --- cache memory bound ---
   // Default-constructed (unbounded) reproduces the paper's infinite-cache
-  // assumption; set capacity_entries/capacity_bytes + policy to study
-  // eviction under ECS blow-up.
+  // assumption; set capacity_entries + policy to study eviction under ECS
+  // blow-up.
   CacheConfig cache;
 
   // --- presets matching the paper's behavior classes ---

@@ -18,14 +18,6 @@ std::string to_string(EvictionPolicy policy) {
   return "unknown";
 }
 
-std::optional<EvictionPolicy> eviction_policy_from_string(const std::string& text) {
-  if (text == "lru") return EvictionPolicy::kLru;
-  if (text == "lfu") return EvictionPolicy::kLfu;
-  if (text == "sieve") return EvictionPolicy::kSieve;
-  if (text == "scope" || text == "scope-aware") return EvictionPolicy::kScopeAware;
-  return std::nullopt;
-}
-
 SlotEviction::SlotEviction(EvictionPolicy policy)
     : policy_(policy),
       lists_(policy == EvictionPolicy::kScopeAware ? kMaxScope + 1 : 1) {}

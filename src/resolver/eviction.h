@@ -37,25 +37,20 @@ enum class EvictionPolicy : std::uint8_t {
 };
 
 std::string to_string(EvictionPolicy policy);
-// Parses "lru" / "lfu" / "sieve" / "scope"; nullopt on anything else.
-std::optional<EvictionPolicy> eviction_policy_from_string(const std::string& text);
 // All four policies, in a stable order benches and tests sweep over.
 inline constexpr EvictionPolicy kAllEvictionPolicies[] = {
     EvictionPolicy::kLru, EvictionPolicy::kLfu, EvictionPolicy::kSieve,
     EvictionPolicy::kScopeAware};
 
 // Capacity configuration threaded from ResolverConfig / CacheSimOptions
-// down to the cache. Unset bounds mean "infinite", the paper's baseline
-// assumption; byte accounting is approximate (sizeof-based, deterministic)
-// and meant for sizing studies, not allocator-exact budgets.
+// down to the cache. The bound counts entries, the unit of the paper's §7
+// cache-size ratios; unset means "infinite", the paper's baseline
+// assumption.
 struct CacheConfig {
   std::optional<std::size_t> capacity_entries;
-  std::optional<std::size_t> capacity_bytes;
   EvictionPolicy policy = EvictionPolicy::kLru;
 
-  bool bounded() const noexcept {
-    return capacity_entries.has_value() || capacity_bytes.has_value();
-  }
+  bool bounded() const noexcept { return capacity_entries.has_value(); }
 };
 
 // Handle of a live cache entry. In the bounded caches it is the entry's

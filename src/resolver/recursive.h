@@ -81,7 +81,6 @@ class RecursiveResolver {
   void attach(const netsim::GeoPoint& location);
 
   const ResolverCounters& counters() const noexcept { return counters_; }
-  void reset_counters() { counters_ = ResolverCounters{}; }
   EcsCache& cache() noexcept { return cache_; }
 
  private:

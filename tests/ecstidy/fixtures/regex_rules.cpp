@@ -1,4 +1,4 @@
-// regex-rule fixture: the legacy lint.py rules ported into ecstidy.
+// regex-rule fixture: ecstidy's regex group (wire-codec, rng, bench-metrics).
 // Never compiled — consumed by scripts/ecstidy's fixture tests only.
 #include <cstring>
 #include <random>

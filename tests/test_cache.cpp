@@ -68,7 +68,7 @@ TEST(EcsCache, PrefersMostSpecificCoveringEntry) {
   EXPECT_EQ(hit16->network.length(), 16);
   const auto* hit0 = cache.lookup(kQname, RRType::A, IpAddress::parse("9.9.9.9"), 1);
   ASSERT_NE(hit0, nullptr);
-  EXPECT_TRUE(hit0->global);
+  EXPECT_EQ(hit0->network.length(), 0);  // the global entry
 }
 
 TEST(EcsCache, DistinctSubnetsCoexist) {

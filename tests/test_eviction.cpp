@@ -25,15 +25,13 @@ using dnscore::Name;
 using dnscore::Prefix;
 using netsim::kSecond;
 
-TEST(EvictionPolicyNames, RoundTripThroughStrings) {
-  for (const auto policy : kAllEvictionPolicies) {
-    const auto parsed = eviction_policy_from_string(to_string(policy));
-    ASSERT_TRUE(parsed.has_value()) << to_string(policy);
-    EXPECT_EQ(*parsed, policy);
-  }
-  EXPECT_EQ(eviction_policy_from_string("scope-aware"), EvictionPolicy::kScopeAware);
-  EXPECT_FALSE(eviction_policy_from_string("").has_value());
-  EXPECT_FALSE(eviction_policy_from_string("mru").has_value());
+TEST(EvictionPolicyNames, ToStringGivesMetricKeyNames) {
+  // Metric keys (cache.capacity_evictions.<policy>) and perfbench's
+  // per-policy metrics are spelled with these names.
+  EXPECT_EQ(to_string(EvictionPolicy::kLru), "lru");
+  EXPECT_EQ(to_string(EvictionPolicy::kLfu), "lfu");
+  EXPECT_EQ(to_string(EvictionPolicy::kSieve), "sieve");
+  EXPECT_EQ(to_string(EvictionPolicy::kScopeAware), "scope");
 }
 
 TEST(LruStrategy, EvictsLeastRecentlyUsed) {
@@ -536,30 +534,7 @@ TEST(BoundedEcsCache, ScopeAwareCollapseKeepsShortestCoveringPrefix) {
   const CacheEntry* elsewhere =
       cache.lookup(kQname, RRType::A, IpAddress::parse("99.0.0.1"), 2 * kSecond);
   ASSERT_NE(elsewhere, nullptr);
-  EXPECT_TRUE(elsewhere->global);
-}
-
-TEST(BoundedEcsCache, ByteBoundEvictsWhenEntriesAreLarge) {
-  // Measure one entry's approximate footprint, then allow room for three.
-  CacheConfig probe_config;
-  probe_config.capacity_entries = 100;
-  EcsCache probe(probe_config);
-  probe.insert(kQname, RRType::A, block24(0, 0), 24, answer("9.9.9.1"), 0,
-               600 * kSecond);
-  const std::size_t per_entry = probe.approx_bytes();
-  ASSERT_GT(per_entry, 0u);
-
-  CacheConfig config;
-  config.capacity_bytes = 3 * per_entry;
-  config.policy = EvictionPolicy::kLru;
-  EcsCache cache(config);
-  for (int i = 0; i < 10; ++i) {
-    cache.insert(kQname, RRType::A, block24(1, static_cast<std::uint8_t>(i)), 24,
-                 answer("9.9.9.1"), i * kSecond, 600 * kSecond);
-    ASSERT_LE(cache.approx_bytes(), *config.capacity_bytes) << "insert " << i;
-  }
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.stats().capacity_evictions, 7u);
+  EXPECT_EQ(elsewhere->network.length(), 0);  // the global entry
 }
 
 TEST(BoundedEcsCache, PerPolicyEvictionCounterAndAgeHistogramAdvance) {
