@@ -63,8 +63,8 @@ void BM_MessageViewConstruct(benchmark::State& state) {
 BENCHMARK(BM_MessageViewConstruct);
 
 void BM_MessageViewDispatch(benchmark::State& state) {
-  // What the authoritative front-end reads per query: header, question,
-  // and the decoded ECS option.
+  // Header, question and decoded ECS option, read through a view. The
+  // benchmark's name is a BENCH_PR10.json key.
   Message q = Message::make_query(42, Name::from_string("www.example.com"), RRType::A);
   q.set_ecs(EcsOption::for_query(Prefix::parse("100.64.7.0/24")));
   const auto wire = q.serialize();

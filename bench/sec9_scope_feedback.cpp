@@ -24,7 +24,7 @@ class ScheduledScopePolicy : public authoritative::EcsPolicy {
  public:
   explicit ScheduledScopePolicy(std::shared_ptr<int> scope) : scope_(std::move(scope)) {}
   authoritative::EcsDecision decide(const dnscore::Question&,
-                                    const std::optional<dnscore::EcsOption>& ecs,
+                                    const dnscore::EcsOption* ecs,
                                     const dnscore::IpAddress&) const override {
     authoritative::EcsDecision d;
     if (!ecs) return d;

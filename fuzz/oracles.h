@@ -19,12 +19,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "authoritative/ecs_policy.h"
+#include "authoritative/server.h"
 #include "authoritative/zone_text.h"
 #include "dnscore/contracts.h"
 #include "dnscore/ecs.h"
@@ -205,6 +208,80 @@ inline void check_message_view(const std::uint8_t* data, std::size_t size) {
   }
   ECSDNS_CHECK(full_threw == view_threw);
   ECSDNS_CHECK(full_ecs == view_ecs);
+}
+
+// The authoritative a serve_wire oracle drives: one zone with an answer, a
+// CNAME, a delegation and an SOA for negative answers, under a scope-delta
+// ECS policy. Its scratch is kept across inputs, as a live shard keeps its
+// own across packets, and `ecs_query` (answered with an ECS echo) dirties
+// it before each input.
+struct ServeWireRig {
+  static authoritative::AuthConfig unlogged() {
+    authoritative::AuthConfig config;
+    config.log_queries = false;
+    return config;
+  }
+
+  authoritative::AuthServer server{unlogged(),
+                                   std::make_unique<authoritative::ScopeDeltaPolicy>(4)};
+  authoritative::DispatchScratch scratch;
+  std::vector<std::uint8_t> ecs_query;
+
+  ServeWireRig() {
+    using namespace dnscore;
+    Message q = Message::make_query(0x5555, Name::from_string("www.example.com"), RRType::A);
+    q.set_ecs(EcsOption::for_query(Prefix::parse("203.0.113.0/24")));
+    ecs_query = q.serialize();
+    const Name apex = Name::from_string("example.com");
+    auto& zone = server.add_zone(apex);
+    zone.add(ResourceRecord::make_soa(apex, 3600, Name::from_string("ns1.example.com"),
+                                      Name::from_string("hostmaster.example.com"), 1,
+                                      300));
+    zone.add(ResourceRecord::make_a(Name::from_string("www.example.com"), 60,
+                                    IpAddress::parse("192.0.2.1")));
+    zone.add(ResourceRecord::make_cname(Name::from_string("alias.example.com"), 60,
+                                        Name::from_string("www.example.com")));
+    const Name child = Name::from_string("sub.example.com");
+    const Name child_ns = Name::from_string("ns1.sub.example.com");
+    zone.delegate(child, {ResourceRecord::make_ns(child, 3600, child_ns)},
+                  {ResourceRecord::make_a(child_ns, 3600, IpAddress::parse("192.0.2.53"))});
+  }
+};
+
+// AuthServer::serve_wire oracle, the authoritative's one way in for a wire
+// packet: it must accept exactly what Message::parse accepts, answer with
+// a reply that parses, has QR set and carries the query's ID, and give the
+// same bytes from the retained scratch (dirtied by the previous input and
+// by an ECS answer) as from a fresh one: no state leaks between packets.
+inline void check_serve_wire(const std::uint8_t* data, std::size_t size) {
+  using dnscore::Message;
+  static ServeWireRig rig;
+  const std::span<const std::uint8_t> wire{data, size};
+  const dnscore::IpAddress sender = dnscore::IpAddress::parse("198.51.100.7");
+  std::optional<Message> query;
+  try {
+    query = Message::parse(wire);
+  } catch (const dnscore::WireFormatError&) {
+  }
+  std::vector<std::uint8_t> out;
+  ECSDNS_CHECK(rig.server.serve_wire(rig.ecs_query, sender, 0, false, rig.scratch, out));
+  const bool served = rig.server.serve_wire(wire, sender, 0, false, rig.scratch, out);
+  ECSDNS_CHECK(served == query.has_value());
+  if (!served) return;
+
+  Message reply;
+  try {
+    reply = Message::parse({out.data(), out.size()});
+  } catch (const dnscore::WireFormatError&) {
+    ECSDNS_CHECK(!"serve_wire reply must parse");
+  }
+  ECSDNS_CHECK(reply.header.qr);
+  ECSDNS_CHECK(reply.header.id == query->header.id);
+
+  authoritative::DispatchScratch fresh;
+  std::vector<std::uint8_t> fresh_out;
+  ECSDNS_CHECK(rig.server.serve_wire(wire, sender, 0, false, fresh, fresh_out));
+  ECSDNS_CHECK(fresh_out == out);
 }
 
 // Name wire-decompression oracle: an accepted name fits RFC 1035 bounds,

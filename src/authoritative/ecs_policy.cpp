@@ -11,8 +11,7 @@ bool is_address_query(const Question& q) {
 
 }  // namespace
 
-EcsDecision ScopeDeltaPolicy::decide(const Question& question,
-                                     const std::optional<EcsOption>& ecs,
+EcsDecision ScopeDeltaPolicy::decide(const Question& question, const EcsOption* ecs,
                                      const IpAddress&) const {
   if (!ecs) return {};
   EcsDecision d;
@@ -25,8 +24,7 @@ EcsDecision ScopeDeltaPolicy::decide(const Question& question,
   return d;
 }
 
-EcsDecision FixedScopePolicy::decide(const Question& question,
-                                     const std::optional<EcsOption>& ecs,
+EcsDecision FixedScopePolicy::decide(const Question& question, const EcsOption* ecs,
                                      const IpAddress&) const {
   if (!ecs) return {};
   EcsDecision d;
@@ -39,13 +37,12 @@ bool WhitelistPolicy::is_whitelisted(const IpAddress& sender) const {
   return std::find(whitelist_.begin(), whitelist_.end(), sender) != whitelist_.end();
 }
 
-EcsDecision WhitelistPolicy::decide(const Question& question,
-                                    const std::optional<EcsOption>& ecs,
+EcsDecision WhitelistPolicy::decide(const Question& question, const EcsOption* ecs,
                                     const IpAddress& sender) const {
   if (is_whitelisted(sender)) return inner_->decide(question, ecs, sender);
   if (fallback_ != nullptr) {
     // Pre-ECS treatment: map by the sender, ignore the option, stay silent.
-    EcsDecision d = fallback_->decide(question, std::nullopt, sender);
+    EcsDecision d = fallback_->decide(question, nullptr, sender);
     d.include_option = false;
     d.scope = 0;
     return d;
@@ -53,12 +50,11 @@ EcsDecision WhitelistPolicy::decide(const Question& question,
   return {};  // behave as a non-adopter
 }
 
-EcsDecision CdnMappingPolicy::decide(const Question& question,
-                                     const std::optional<EcsOption>& ecs,
+EcsDecision CdnMappingPolicy::decide(const Question& question, const EcsOption* ecs,
                                      const IpAddress& sender) const {
   if (!is_address_query(question)) {
     EcsDecision d;
-    d.include_option = ecs.has_value();
+    d.include_option = ecs != nullptr;
     d.scope = 0;
     return d;
   }
@@ -67,7 +63,7 @@ EcsDecision CdnMappingPolicy::decide(const Question& question,
   request.resolver = sender;
   const cdn::MappingResult result = mapping_.map(request);
   EcsDecision d;
-  d.include_option = ecs.has_value();
+  d.include_option = ecs != nullptr;
   d.scope = result.scope;
   d.tailored_addresses = result.addresses;
   return d;

@@ -1,6 +1,7 @@
 // Authoritative-side ECS policies: given a question, the query's ECS option
-// (if any), and the sender, decide whether to include an ECS option in the
-// response, with what scope, and whether to tailor the answer addresses.
+// (null when absent), and the sender, decide whether to include an ECS
+// option in the response, with what scope, and whether to tailor the answer
+// addresses.
 #pragma once
 
 #include <memory>
@@ -31,8 +32,8 @@ struct EcsDecision {
 class EcsPolicy {
  public:
   virtual ~EcsPolicy() = default;
-  virtual EcsDecision decide(const Question& question,
-                             const std::optional<EcsOption>& ecs,
+  // `ecs` is null when the query carries no ECS option.
+  virtual EcsDecision decide(const Question& question, const EcsOption* ecs,
                              const IpAddress& sender) const = 0;
 };
 
@@ -40,8 +41,7 @@ class EcsPolicy {
 // responses carry no ECS (per the RFC, this is what non-adopters do).
 class NoEcsPolicy : public EcsPolicy {
  public:
-  EcsDecision decide(const Question&, const std::optional<EcsOption>&,
-                     const IpAddress&) const override {
+  EcsDecision decide(const Question&, const EcsOption*, const IpAddress&) const override {
     return {};
   }
 };
@@ -52,7 +52,7 @@ class NoEcsPolicy : public EcsPolicy {
 class ScopeDeltaPolicy : public EcsPolicy {
  public:
   explicit ScopeDeltaPolicy(int delta) : delta_(delta) {}
-  EcsDecision decide(const Question& question, const std::optional<EcsOption>& ecs,
+  EcsDecision decide(const Question& question, const EcsOption* ecs,
                      const IpAddress& sender) const override;
 
  private:
@@ -64,7 +64,7 @@ class ScopeDeltaPolicy : public EcsPolicy {
 class FixedScopePolicy : public EcsPolicy {
  public:
   explicit FixedScopePolicy(int scope) : scope_(scope) {}
-  EcsDecision decide(const Question& question, const std::optional<EcsOption>& ecs,
+  EcsDecision decide(const Question& question, const EcsOption* ecs,
                      const IpAddress& sender) const override;
 
  private:
@@ -84,7 +84,7 @@ class WhitelistPolicy : public EcsPolicy {
         fallback_(std::move(fallback)),
         whitelist_(std::move(whitelist)) {}
 
-  EcsDecision decide(const Question& question, const std::optional<EcsOption>& ecs,
+  EcsDecision decide(const Question& question, const EcsOption* ecs,
                      const IpAddress& sender) const override;
 
   bool is_whitelisted(const IpAddress& sender) const;
@@ -96,17 +96,17 @@ class WhitelistPolicy : public EcsPolicy {
   std::vector<IpAddress> whitelist_;
 };
 
-// Full CDN tailoring: delegates edge selection to a cdn::MappingPolicy and
-// answers with the tailored addresses and the mapping's scope.
+// Full CDN tailoring: delegates edge selection to a cdn::ProximityMapping
+// and answers with the tailored addresses and the mapping's scope.
 class CdnMappingPolicy : public EcsPolicy {
  public:
-  explicit CdnMappingPolicy(const cdn::MappingPolicy& mapping) : mapping_(mapping) {}
+  explicit CdnMappingPolicy(const cdn::ProximityMapping& mapping) : mapping_(mapping) {}
 
-  EcsDecision decide(const Question& question, const std::optional<EcsOption>& ecs,
+  EcsDecision decide(const Question& question, const EcsOption* ecs,
                      const IpAddress& sender) const override;
 
  private:
-  const cdn::MappingPolicy& mapping_;
+  const cdn::ProximityMapping& mapping_;
 };
 
 }  // namespace ecsdns::authoritative

@@ -56,15 +56,16 @@ struct AuthConfig {
 // Per-caller dispatch state reused across packets: the query/response
 // messages, the decoded-ECS slot, and the name-compression table all retain
 // their capacity, so a steady stream of same-shaped queries is served with
-// zero heap allocations (pinned by tests/test_noalloc_contracts.cpp). One
+// zero heap allocations (pinned by tests/test_noalloc_contracts.cpp). After
+// serve_wire accepts a packet, `query` equals Message::parse of it. One
 // scratch per attached service or live socket shard; never shared across
 // threads.
 struct DispatchScratch {
   Message query;
   Message response;
-  // Engaged while ECS queries flow; the option's address buffer is reused
-  // in place, so uniform ECS traffic decodes without allocating.
-  std::optional<EcsOption> ecs;
+  // The query's ECS option, decoded by Message::ecs_into; its address
+  // buffer is never freed between packets.
+  EcsOption ecs;
   Name::CompressionTable table;
 };
 
@@ -83,19 +84,20 @@ class AuthServer {
                                 SimTime now);
 
   // Allocation-aware core handle() wraps: answers into `response`, reusing
-  // its buffers, with `ecs_scratch` holding the decoded query ECS. Returns
-  // false when the query is dropped. A structurally unparseable ECS payload
+  // its buffers, decoding the query ECS into `ecs_scratch`. Returns false
+  // when the query is dropped. A structurally unparseable ECS payload
   // answers FORMERR (RFC 7871 §7.1.2) instead of throwing.
   bool handle_into(const Message& query, const IpAddress& sender, SimTime now,
-                   Message& response, std::optional<EcsOption>& ecs_scratch);
+                   Message& response, EcsOption& ecs_scratch);
 
   // Wire-to-wire dispatch shared by the simulated attach() service and the
-  // live UDP shards: validates `wire` through MessageView (decoding straight
-  // out of the receive buffer), answers via handle_into, serializes into
-  // `out` (contents replaced, capacity reused), and applies RFC 1035 §4.2.1
-  // UDP truncation against the requestor's EDNS buffer size. Returns false
-  // when the datagram is dropped (unparseable, or a configured silent-drop
-  // behavior); `out` is unspecified in that case.
+  // live UDP shards: decodes `wire` with Message::parse_into into the
+  // scratch query, answers via handle_into, serializes into `out` (contents
+  // replaced, capacity reused), and applies RFC 1035 §4.2.1 UDP truncation
+  // against the requestor's EDNS buffer size, building the truncated reply
+  // in the scratch response. Returns false when the datagram is dropped
+  // (unparseable, or a configured silent-drop behavior); `out` is
+  // unspecified in that case.
   bool serve_wire(std::span<const std::uint8_t> wire, const IpAddress& sender,
                   SimTime now, bool via_tcp, DispatchScratch& scratch,
                   std::vector<std::uint8_t>& out);
@@ -118,13 +120,12 @@ class AuthServer {
 
  private:
   // Answers into `response` (buffers reused). `ecs` is the decoded query
-  // option in the caller's scratch (disengaged when absent);
-  // `ecs_unparseable` marks a present-but-undecodable option. Every exit
-  // path either installs a fresh ECS option or clears the retained slot, so
-  // stale state never leaks between packets.
+  // option (null when absent); `ecs_unparseable` marks a
+  // present-but-undecodable option. Every exit path either installs a fresh
+  // ECS option or clears the retained slot, so stale state never leaks
+  // between packets.
   void answer_into(const Message& query, const IpAddress& sender,
-                   std::optional<EcsOption>& ecs, bool ecs_unparseable,
-                   Message& response);
+                   const EcsOption* ecs, bool ecs_unparseable, Message& response);
 
   // Registry mirrors (see src/obs): `queries_served_` and the query log
   // remain the per-server API; the registry aggregates across the fleet.

@@ -26,31 +26,6 @@ void Zone::delegate(const Name& child, const std::vector<ResourceRecord>& ns_rec
   delegations_[child] = Delegation{ns_records, glue};
 }
 
-ZoneLookup Zone::lookup(const Name& qname, RRType qtype) const {
-  const ZoneLookupRef ref = lookup_ref(qname, qtype);
-  ZoneLookup out;
-  out.kind = ref.kind;
-  switch (ref.kind) {
-    case ZoneLookup::Kind::kAnswer:
-      for (const auto& rr : *ref.records) {
-        if (rr.type == qtype || qtype == RRType::ANY) out.records.push_back(rr);
-      }
-      break;
-    case ZoneLookup::Kind::kCname:
-      out.records.push_back(*ref.cname);
-      break;
-    case ZoneLookup::Kind::kDelegation:
-      out.records = *ref.records;
-      out.glue = *ref.glue;
-      break;
-    case ZoneLookup::Kind::kNoData:
-    case ZoneLookup::Kind::kNxDomain:
-    case ZoneLookup::Kind::kNotInZone:
-      break;
-  }
-  return out;
-}
-
 ZoneLookupRef Zone::lookup_ref(const Name& qname, RRType qtype) const {
   ZoneLookupRef out;
   if (!qname.is_subdomain_of(apex_)) {

@@ -17,26 +17,22 @@ using dnscore::NameHash;
 using dnscore::ResourceRecord;
 using dnscore::RRType;
 
-// Result of a zone lookup, before any ECS-dependent tailoring.
+// Kinds of zone lookup result, before any ECS-dependent tailoring.
 struct ZoneLookup {
   enum class Kind {
     kAnswer,      // records of the requested type at the name
-    kCname,       // a CNAME exists at the name (records holds it)
+    kCname,       // a CNAME exists at the name
     kDelegation,  // the name falls under a delegated child zone (NS + glue)
     kNoData,      // name exists, no records of this type
     kNxDomain,    // name does not exist in the zone
     kNotInZone,   // qname is outside this zone entirely
   };
-  Kind kind = Kind::kNxDomain;
-  std::vector<ResourceRecord> records;  // answer/cname/delegation NS set
-  std::vector<ResourceRecord> glue;     // A/AAAA for delegation NS names
 };
 
-// Allocation-free view of a lookup: pointers into the zone's own storage,
-// valid until the zone is mutated. For kAnswer, `records` is the full
-// bucket at the name — the caller filters by qtype while copying out,
-// which preserves ZoneLookup's record order. The dispatch hot path uses
-// this so answering a query never clones record sets.
+// A zone lookup: pointers into the zone's own storage, valid until the zone
+// is mutated. For kAnswer, `records` is the full bucket at the name, which
+// may hold other types too — the caller filters by qtype while copying out.
+// Answering a query therefore never clones record sets.
 struct ZoneLookupRef {
   ZoneLookup::Kind kind = ZoneLookup::Kind::kNxDomain;
   const std::vector<ResourceRecord>* records = nullptr;  // bucket / NS set
@@ -55,8 +51,7 @@ class Zone {
   void delegate(const Name& child, const std::vector<ResourceRecord>& ns_records,
                 const std::vector<ResourceRecord>& glue);
 
-  ZoneLookup lookup(const Name& qname, RRType qtype) const;
-  // The non-copying core lookup() is built on; see ZoneLookupRef.
+  // See ZoneLookupRef.
   ZoneLookupRef lookup_ref(const Name& qname, RRType qtype) const;
 
   // True if the zone contains any record at the exact name.

@@ -1,10 +1,10 @@
 // CDN user-to-edge-server mapping policies.
 //
-// A mapping policy answers: given what the authoritative DNS can see (the
-// query's ECS option if any, and the resolver's source address), which edge
+// A mapping answers: given what the authoritative DNS can see (the query's
+// ECS option if any, and the resolver's source address), which edge
 // addresses go into the answer, and what ECS scope comes back?
 //
-// The three concrete policies model the CDNs the paper measures:
+// Three ProximityMapping configurations model the CDNs the paper measures:
 //   * ProximityMapping with min_ecs_bits=24 and a default-set fallback is
 //     "CDN-1" (Figure 6: a cliff when the source prefix drops below /24);
 //   * ProximityMapping with min_ecs_bits=21 and resolver-proxy fallback is
@@ -38,12 +38,6 @@ struct MappingResult {
   std::vector<IpAddress> addresses;  // answer A records, best first
   int scope = 0;                     // ECS scope to return (0 = any client)
   bool used_ecs = false;             // whether ECS influenced the choice
-};
-
-class MappingPolicy {
- public:
-  virtual ~MappingPolicy() = default;
-  virtual MappingResult map(const MappingRequest& request) const = 0;
 };
 
 // What to do with an ECS prefix no geolocation exists for — loopback,
@@ -80,14 +74,14 @@ struct ProximityMappingConfig {
   Fallback fallback = Fallback::kResolverProxy;
 };
 
-class ProximityMapping : public MappingPolicy {
+class ProximityMapping {
  public:
   // `geo` resolves prefixes and resolver addresses to coordinates; the
   // policy keeps references — the caller owns both and keeps them alive.
   ProximityMapping(ProximityMappingConfig config, const EdgeFleet& fleet,
                    const netsim::IpGeoDb& geo);
 
-  MappingResult map(const MappingRequest& request) const override;
+  MappingResult map(const MappingRequest& request) const;
 
   const ProximityMappingConfig& config() const noexcept { return config_; }
 

@@ -107,6 +107,22 @@ std::vector<EcsIssue> EcsOption::validate(bool in_query) const {
   return issues;
 }
 
+bool EcsOption::is_malformed(bool in_query) const {
+  for (const auto issue : validate(in_query)) {
+    switch (issue) {
+      case EcsIssue::kUnknownFamily:
+      case EcsIssue::kSourceLengthTooLong:
+      case EcsIssue::kAddressLengthMismatch:
+      case EcsIssue::kNonZeroTrailingBits:
+        return true;
+      case EcsIssue::kScopeLengthTooLong:
+      case EcsIssue::kScopeNonZeroInQuery:
+        break;
+    }
+  }
+  return false;
+}
+
 EdnsOption EcsOption::to_edns() const {
   EdnsOption opt;
   opt.code = static_cast<std::uint16_t>(EdnsOptionCode::ECS);

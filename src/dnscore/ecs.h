@@ -76,6 +76,14 @@ class EcsOption {
   // enforces the scope-must-be-zero rule.
   std::vector<EcsIssue> validate(bool in_query) const;
   bool is_valid(bool in_query) const { return validate(in_query).empty(); }
+  // True when validate() finds an issue that makes the option unusable
+  // rather than merely non-compliant: an unknown family, a source prefix
+  // longer than the family, an ADDRESS of the wrong length, or address bits
+  // set past the source prefix. RFC 7871 §6 and §7.1.1 direct a receiver to
+  // answer FORMERR; the authoritative and the resolver both apply this one
+  // rule. An over-long or (in a query) non-zero scope is tolerated and read
+  // as scope 0.
+  bool is_malformed(bool in_query) const;
 
   // Re-targets this option at `prefix` with `scope`, reusing the address
   // buffer's capacity: for_query and for_response build on it, and the

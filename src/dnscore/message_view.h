@@ -1,10 +1,12 @@
 // Lazy, bounds-checked read-only view over a DNS message in wire form.
 //
-// MessageView is the zero-copy half of the packet path: services that only
-// route on the question and the ECS option (the authoritative dispatch, the
-// forwarder's strip decision, the measurement probers) construct a view
-// instead of a full Message and skip materializing record vectors, Names,
-// and option payloads for sections they never read.
+// MessageView serves readers that only look at the header, the question
+// and the ECS option (the forwarder's strip decision, StubClient::probe):
+// they construct a view instead of a full Message and skip materializing
+// record vectors, Names, and option payloads for sections they never read.
+// Services that answer a packet decode it with Message::parse_into into a
+// retained message instead (the authoritative's serve_wire, the resolver's
+// upstream exchange).
 //
 // The constructor walks the ENTIRE message eagerly with exactly the
 // validation rules of Message::parse — same reader primitives, same order,
@@ -84,11 +86,6 @@ class MessageView {
   // Decodes the ECS option. Throws WireFormatError on a present but
   // structurally short payload — exactly when Message::ecs() would.
   std::optional<EcsOption> ecs() const;
-
-  // Full materialization for callers that outgrow the view. Never throws
-  // for a successfully constructed view (the constructor already ran the
-  // same validation). Leaves the zero-copy regime — allocates freely.
-  ECSDNS_MAY_BLOCK Message to_message() const { return Message::parse(wire_); }
 
  private:
   std::span<const std::uint8_t> wire_;

@@ -14,7 +14,7 @@ class MutableScopePolicy : public authoritative::EcsPolicy {
   explicit MutableScopePolicy(std::shared_ptr<int> scope) : scope_(std::move(scope)) {}
 
   authoritative::EcsDecision decide(const dnscore::Question&,
-                                    const std::optional<EcsOption>& ecs,
+                                    const EcsOption* ecs,
                                     const IpAddress&) const override {
     authoritative::EcsDecision d;
     if (!ecs) return d;

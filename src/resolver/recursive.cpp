@@ -349,14 +349,7 @@ bool RecursiveResolver::handle_client_query_into(const Message& query,
   } catch (const dnscore::WireFormatError&) {
     malformed = true;
   }
-  if (client_ecs != nullptr) {
-    const auto issues = client_ecs->validate(/*in_query=*/true);
-    malformed = std::any_of(issues.begin(), issues.end(), [](dnscore::EcsIssue issue) {
-      return issue == dnscore::EcsIssue::kUnknownFamily ||
-             issue == dnscore::EcsIssue::kSourceLengthTooLong ||
-             issue == dnscore::EcsIssue::kAddressLengthMismatch;
-    });
-  }
+  if (client_ecs != nullptr) malformed = client_ecs->is_malformed(/*in_query=*/true);
   response.reset_response(query);
   if (malformed) {
     response.header.rcode = RCode::FORMERR;

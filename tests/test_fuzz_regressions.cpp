@@ -68,8 +68,9 @@ class CorpusReplay : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CorpusReplay, AllSeedsPass) {
   const std::string target = GetParam();
-  const std::filesystem::path dir =
-      std::filesystem::path(ECSDNS_CORPUS_DIR) / target;
+  // serve_wire shares the message corpus, as its fuzz target does.
+  const std::filesystem::path dir = std::filesystem::path(ECSDNS_CORPUS_DIR) /
+                                    (target == "serve_wire" ? "message" : target);
   ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
   std::size_t ran = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
@@ -81,6 +82,7 @@ TEST_P(CorpusReplay, AllSeedsPass) {
     const auto* data = reinterpret_cast<const std::uint8_t*>(raw.data());
     SCOPED_TRACE(entry.path().string());
     if (target == "message") fuzz::check_message(data, raw.size());
+    else if (target == "serve_wire") fuzz::check_serve_wire(data, raw.size());
     else if (target == "name") fuzz::check_name(data, raw.size());
     else if (target == "edns_ecs") fuzz::check_edns_ecs(data, raw.size());
     else fuzz::check_zone_text(data, raw.size());
@@ -91,6 +93,6 @@ TEST_P(CorpusReplay, AllSeedsPass) {
 
 INSTANTIATE_TEST_SUITE_P(Targets, CorpusReplay,
                          ::testing::Values("message", "name", "edns_ecs",
-                                           "zone_text"));
+                                           "zone_text", "serve_wire"));
 
 }  // namespace

@@ -132,17 +132,6 @@ TEST(MessageView, QnameDecodesThroughCompressionPointers) {
   EXPECT_EQ(view.qname(), Name::from_string("deep.www.example.com"));
 }
 
-TEST(MessageView, ToMessageMatchesFullParse) {
-  Message q = Message::make_query(9, Name::from_string("x.org"), RRType::A);
-  q.set_ecs(EcsOption::for_query(Prefix::parse("10.0.0.0/8")));
-  const auto wire = wire_of(q);
-  const MessageView view({wire.data(), wire.size()});
-  const Message full = view.to_message();
-  EXPECT_EQ(full.header.id, 9);
-  EXPECT_EQ(full.question().qname, Name::from_string("x.org"));
-  EXPECT_EQ(full.ecs(), q.ecs());
-}
-
 TEST(MessageView, RejectsWhatMessageParseRejects) {
   // Truncated header.
   const std::uint8_t tiny[] = {0, 1, 2};

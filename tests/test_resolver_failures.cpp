@@ -220,13 +220,36 @@ TEST(ResolverFailures, ClientOptOutCanOmitEntirely) {
   }
 }
 
+TEST(ResolverFailures, ClientEcsWithTrailingBitsGetsFormErr) {
+  Testbed bed;
+  auto& auth = bed.add_auth("auth", n("example.com"), "Ashburn",
+                            std::make_unique<ScopeDeltaPolicy>(0));
+  auth.find_zone(n("example.com"))
+      ->add(ResourceRecord::make_a(n("www.example.com"), 60,
+                                   IpAddress::parse("1.1.1.1")));
+  ResolverConfig config = ResolverConfig::correct();
+  config.accept_client_ecs = true;
+  auto& resolver = bed.add_resolver(config, "Chicago");
+  // RFC 7871 §6: address bits past SOURCE PREFIX-LENGTH must be zero, and
+  // a receiver SHOULD answer FORMERR when they are not. 192.0.7 at /22 sets
+  // the last two bits of its third octet.
+  EcsOption option;
+  option.set_family(1);
+  option.set_source_prefix_length(22);
+  option.set_address_bytes({192, 0, 7});
+  const Message r = ask(resolver, "www.example.com", "100.64.1.5", option);
+  EXPECT_EQ(r.header.rcode, RCode::FORMERR);
+  EXPECT_FALSE(r.has_ecs());
+  EXPECT_EQ(resolver.counters().upstream_queries, 0u);
+}
+
 TEST(ResolverFailures, ScopeExceedingSourceIsCapped) {
   Testbed bed;
   // An authoritative that (incorrectly) returns scope 32 to /24 queries.
   class OverscopePolicy : public authoritative::EcsPolicy {
    public:
     authoritative::EcsDecision decide(
-        const dnscore::Question&, const std::optional<EcsOption>& ecs,
+        const dnscore::Question&, const EcsOption* ecs,
         const IpAddress&) const override {
       authoritative::EcsDecision d;
       if (!ecs) return d;

@@ -237,7 +237,7 @@ TEST(AdaptToScope, LearnsZoneGranularityAndRatchets) {
    public:
     explicit Policy(std::shared_ptr<int> s) : s_(std::move(s)) {}
     authoritative::EcsDecision decide(
-        const dnscore::Question&, const std::optional<dnscore::EcsOption>& ecs,
+        const dnscore::Question&, const dnscore::EcsOption* ecs,
         const dnscore::IpAddress&) const override {
       authoritative::EcsDecision d;
       if (!ecs) return d;

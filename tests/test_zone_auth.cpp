@@ -23,23 +23,23 @@ Name n(const char* s) { return Name::from_string(s); }
 TEST(Zone, AnswerAndNxDomain) {
   Zone zone(n("example.com"));
   zone.add(ResourceRecord::make_a(n("www.example.com"), 60, IpAddress::parse("1.1.1.1")));
-  auto r = zone.lookup(n("www.example.com"), RRType::A);
+  auto r = zone.lookup_ref(n("www.example.com"), RRType::A);
   EXPECT_EQ(r.kind, ZoneLookup::Kind::kAnswer);
-  ASSERT_EQ(r.records.size(), 1u);
-  EXPECT_EQ(zone.lookup(n("nope.example.com"), RRType::A).kind,
+  ASSERT_EQ(r.records->size(), 1u);
+  EXPECT_EQ(zone.lookup_ref(n("nope.example.com"), RRType::A).kind,
             ZoneLookup::Kind::kNxDomain);
-  EXPECT_EQ(zone.lookup(n("www.example.com"), RRType::AAAA).kind,
+  EXPECT_EQ(zone.lookup_ref(n("www.example.com"), RRType::AAAA).kind,
             ZoneLookup::Kind::kNoData);
-  EXPECT_EQ(zone.lookup(n("other.org"), RRType::A).kind,
+  EXPECT_EQ(zone.lookup_ref(n("other.org"), RRType::A).kind,
             ZoneLookup::Kind::kNotInZone);
 }
 
 TEST(Zone, CnamePrecedence) {
   Zone zone(n("example.com"));
   zone.add(ResourceRecord::make_cname(n("www.example.com"), 60, n("cdn.example.net")));
-  EXPECT_EQ(zone.lookup(n("www.example.com"), RRType::A).kind,
+  EXPECT_EQ(zone.lookup_ref(n("www.example.com"), RRType::A).kind,
             ZoneLookup::Kind::kCname);
-  EXPECT_EQ(zone.lookup(n("www.example.com"), RRType::CNAME).kind,
+  EXPECT_EQ(zone.lookup_ref(n("www.example.com"), RRType::CNAME).kind,
             ZoneLookup::Kind::kAnswer);
 }
 
@@ -49,10 +49,10 @@ TEST(Zone, DelegationCutShadowsNames) {
                 {ResourceRecord::make_ns(n("example.com"), 3600, n("ns1.example.com"))},
                 {ResourceRecord::make_a(n("ns1.example.com"), 3600,
                                         IpAddress::parse("9.9.9.9"))});
-  const auto r = zone.lookup(n("deep.www.example.com"), RRType::A);
+  const auto r = zone.lookup_ref(n("deep.www.example.com"), RRType::A);
   EXPECT_EQ(r.kind, ZoneLookup::Kind::kDelegation);
-  ASSERT_EQ(r.records.size(), 1u);
-  EXPECT_EQ(r.glue.size(), 1u);
+  ASSERT_EQ(r.records->size(), 1u);
+  EXPECT_EQ(r.glue->size(), 1u);
 }
 
 TEST(Zone, RejectsOutOfZoneRecords) {
@@ -246,6 +246,98 @@ TEST(CdnMappingPolicyTest, TailorsAnswersByEcs) {
   EXPECT_EQ(r->first_address(), tokyo_edge);
   // The tailored TTL applies.
   EXPECT_EQ(r->answers.front().ttl, server.config().tailored_ttl);
+}
+
+// serve_wire's bytes: a truncated reply and every reply built in a
+// retained DispatchScratch equal their from-scratch reference encodings.
+class ServeWireTest : public ::testing::Test {
+ protected:
+  ServeWireTest() : server_(AuthConfig{}, std::make_unique<ScopeDeltaPolicy>(4)) {
+    auto& zone = server_.add_zone(n("example.com"));
+    zone.add(ResourceRecord::make_a(n("www.example.com"), 60,
+                                    IpAddress::parse("1.1.1.1")));
+    // ~80 x 16-octet records: far past the 512-octet plain-DNS limit.
+    for (std::uint8_t i = 0; i < 80; ++i) {
+      zone.add(ResourceRecord::make_a(n("fat.example.com"), 60,
+                                      IpAddress::v4(10, 9, 0, i)));
+    }
+  }
+
+  // The UDP reply to `query` through `scratch`; nullopt when dropped.
+  std::optional<std::vector<std::uint8_t>> serve(const Message& query,
+                                                 DispatchScratch& scratch) {
+    const auto wire = query.serialize();
+    std::vector<std::uint8_t> out;
+    if (!server_.serve_wire(wire, IpAddress::parse("8.8.8.8"), 0, /*via_tcp=*/false,
+                            scratch, out)) {
+      return std::nullopt;
+    }
+    return out;
+  }
+
+  AuthServer server_;
+};
+
+Message query_with_ecs(std::uint16_t id, const char* qname, const char* prefix) {
+  Message q = Message::make_query(id, n(qname), RRType::A);
+  q.set_ecs(EcsOption::for_query(Prefix::parse(prefix)));
+  return q;
+}
+
+TEST_F(ServeWireTest, TruncatedReplyMatchesReferenceEncoding) {
+  DispatchScratch scratch;
+  // An ECS answer first, so the retained response holds an ECS option slot
+  // when the truncated replies are built in it.
+  ASSERT_TRUE(serve(query_with_ecs(7, "www.example.com", "1.2.3.0/24"), scratch));
+  // No OPT: the 512-octet limit. EDNS at 512 octets: the reply keeps OPT
+  // but drops the ECS echo.
+  const Message plain = Message::make_query(8, n("fat.example.com"), RRType::A);
+  Message small = query_with_ecs(9, "fat.example.com", "1.2.3.0/24");
+  small.opt->udp_payload_size = 512;
+  const Message* queries[] = {&plain, &small};
+  for (const Message* q : queries) {
+    const auto got = serve(*q, scratch);
+    ASSERT_TRUE(got.has_value());
+    Message reference = Message::make_response(*q);
+    reference.header.aa = true;
+    reference.header.rcode = RCode::NOERROR;
+    reference.header.tc = true;
+    EXPECT_EQ(*got, reference.serialize()) << "query id " << q->header.id;
+  }
+}
+
+TEST_F(ServeWireTest, RetainedScratchMatchesFreshScratch) {
+  std::vector<Message> sequence;
+  sequence.push_back(query_with_ecs(1, "www.example.com", "1.2.3.0/24"));
+  Message opt_only = Message::make_query(2, n("www.example.com"), RRType::A);
+  opt_only.opt = dnscore::OptRecord{};
+  sequence.push_back(opt_only);
+  sequence.push_back(Message::make_query(3, n("www.example.com"), RRType::A));
+  // An ECS payload too short for its own header: FORMERR.
+  Message short_ecs = Message::make_query(4, n("www.example.com"), RRType::A);
+  short_ecs.opt = dnscore::OptRecord{};
+  short_ecs.opt->options.push_back(dnscore::EdnsOption{8, {0, 1, 24}});
+  sequence.push_back(short_ecs);
+  Message two = Message::make_query(5, n("www.example.com"), RRType::A);
+  two.questions.push_back(dnscore::Question{n("fat.example.com"), RRType::A});
+  sequence.push_back(two);
+  sequence.push_back(query_with_ecs(6, "www.example.com", "100.64.0.0/20"));
+
+  DispatchScratch retained;
+  for (const Message& q : sequence) {
+    SCOPED_TRACE(q.header.id);
+    DispatchScratch fresh;
+    const auto want = serve(q, fresh);
+    ASSERT_TRUE(want.has_value());
+    EXPECT_EQ(serve(q, retained), want);
+    // The retained query is the whole packet, not just the fields the
+    // answer reads.
+    EXPECT_EQ(retained.query.serialize(), q.serialize());
+  }
+  DispatchScratch fresh;
+  const auto formerr = serve(short_ecs, fresh);
+  ASSERT_TRUE(formerr.has_value());
+  EXPECT_EQ(Message::parse(*formerr).header.rcode, RCode::FORMERR);
 }
 
 }  // namespace

@@ -103,7 +103,7 @@ TEST(ZoneText, LoadsIntoZone) {
 www IN A 192.0.2.1
 )");
   EXPECT_EQ(zone.record_count(), 2u);
-  const auto result = zone.lookup(Name::from_string("www.example.com"), RRType::A);
+  const auto result = zone.lookup_ref(Name::from_string("www.example.com"), RRType::A);
   EXPECT_EQ(result.kind, ZoneLookup::Kind::kAnswer);
 }
 
@@ -111,9 +111,9 @@ TEST(ZoneText, ParsedZoneServesNegativeTtl) {
   // End-to-end: the SOA minimum from the text drives negative caching.
   Zone zone(kOrigin);
   load_zone_text(zone, "@ IN SOA ns1 admin 1 7200 3600 1209600 42\n");
-  const auto soa = zone.lookup(kOrigin, RRType::SOA);
+  const auto soa = zone.lookup_ref(kOrigin, RRType::SOA);
   ASSERT_EQ(soa.kind, ZoneLookup::Kind::kAnswer);
-  EXPECT_EQ(std::get<dnscore::SoaRdata>(soa.records.front().rdata).minimum, 42u);
+  EXPECT_EQ(std::get<dnscore::SoaRdata>(soa.records->front().rdata).minimum, 42u);
 }
 
 }  // namespace
