@@ -1,18 +1,19 @@
-// Scenario: a wire-format debugging tool. Feed it hex bytes of a DNS
-// message (e.g. copied out of a packet capture) on stdin, or run it with
-// no input to see a demonstration on a self-crafted ECS exchange.
+// Scenario: a wire-format debugging tool. Give it the hex bytes of a DNS
+// message (e.g. copied out of a packet capture) as arguments, or as `-` to
+// read them from stdin; with no arguments it demonstrates itself on a
+// self-crafted ECS exchange.
 //
-//   echo "2b 7e 01 00 ..." | packet_inspector
+//   packet_inspector 2b 7e 01 00 ...
+//   echo "2b 7e 01 00 ..." | packet_inspector -
 //
 // It pretty-prints the message, decodes any EDNS0/ECS content, and runs
 // the RFC 7871 validator over the ECS option — turning the library's
 // parser into the kind of lint tool §9 says the developer community needs.
 #include <cstdio>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "dnscore/message.h"
 
@@ -78,25 +79,31 @@ void inspect(const std::vector<std::uint8_t>& wire) {
 
 }  // namespace
 
-int main() {
-  if (isatty(0)) {
-    std::printf("no stdin input; demonstrating on a crafted exchange.\n\n");
-    std::printf("---- a compliant query ----\n");
-    Message q = Message::make_query(0x1d0c, Name::from_string("www.example.com"),
-                                    RRType::A);
-    q.set_ecs(EcsOption::for_query(Prefix::parse("198.51.100.0/24")));
-    inspect(q.serialize());
-
-    std::printf("\n---- a deviant query (scope set, loopback prefix) ----\n");
-    Message bad = Message::make_query(0x1d0d, Name::from_string("www.example.com"),
-                                      RRType::A);
-    EcsOption ecs = EcsOption::for_query(
-        Prefix{IpAddress::parse("127.0.0.1"), 32});
-    ecs.set_scope_prefix_length(24);  // queries MUST send scope 0
-    bad.set_ecs(ecs);
-    inspect(bad.serialize());
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    if (std::string(argv[1]) == "-") {
+      inspect(read_hex(std::cin));
+    } else {
+      std::string hex;
+      for (int i = 1; i < argc; ++i) hex += std::string(argv[i]) + " ";
+      std::istringstream in(hex);
+      inspect(read_hex(in));
+    }
     return 0;
   }
-  inspect(read_hex(std::cin));
+  std::printf("no input; demonstrating on a crafted exchange.\n\n");
+  std::printf("---- a compliant query ----\n");
+  Message q = Message::make_query(0x1d0c, Name::from_string("www.example.com"),
+                                  RRType::A);
+  q.set_ecs(EcsOption::for_query(Prefix::parse("198.51.100.0/24")));
+  inspect(q.serialize());
+
+  std::printf("\n---- a deviant query (scope set, loopback prefix) ----\n");
+  Message bad = Message::make_query(0x1d0d, Name::from_string("www.example.com"),
+                                    RRType::A);
+  EcsOption ecs = EcsOption::for_query(Prefix{IpAddress::parse("127.0.0.1"), 32});
+  ecs.set_scope_prefix_length(24);  // queries MUST send scope 0
+  bad.set_ecs(ecs);
+  inspect(bad.serialize());
   return 0;
 }

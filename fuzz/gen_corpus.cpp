@@ -154,6 +154,12 @@ void edns_ecs_seeds() {
   // Declared source length needs more address bytes than present.
   write_seed("edns_ecs", "ecs_truncated_address.bin",
              std::vector<std::uint8_t>{0x00, 0x01, 0x18, 0x00, 0xc0});
+  {
+    // One ADDRESS octet past EcsOption::kMaxAddressOctets: unparseable.
+    std::vector<std::uint8_t> oversize{0x00, 0x01, 0x18, 0x00};
+    oversize.resize(oversize.size() + EcsOption::kMaxAddressOctets + 1, 0xc0);
+    write_seed("edns_ecs", "ecs_address_33_octets.bin", oversize);
+  }
 
   // OPT RR bodies (interpretation (b)): serialize() output minus the root
   // owner + TYPE prefix parse_body does not consume.
@@ -165,7 +171,7 @@ void edns_ecs_seeds() {
   {
     OptRecord opt;
     opt.udp_payload_size = 1232;
-    opt.options.push_back(EcsOption::for_query(Prefix::parse("192.0.2.0/24")).to_edns());
+    opt.add_option(EcsOption::for_query(Prefix::parse("192.0.2.0/24")).to_edns());
     write_seed("edns_ecs", "opt_body_ecs.bin", opt_body(opt));
   }
   {
@@ -173,8 +179,17 @@ void edns_ecs_seeds() {
     opt.extended_rcode = 1;  // BADVERS high bits
     opt.version = 0;
     opt.dnssec_ok = true;
-    opt.options.push_back(EdnsOption{10, {1, 2, 3, 4, 5, 6, 7, 8}});  // COOKIE
+    opt.add_option(EdnsOption{10, {1, 2, 3, 4, 5, 6, 7, 8}});  // COOKIE
     write_seed("edns_ecs", "opt_body_cookie_do.bin", opt_body(opt));
+  }
+  {
+    // A duplicate ECS option around a COOKIE: parse_body keeps all three in
+    // wire order.
+    OptRecord opt;
+    opt.add_option(EcsOption::for_query(Prefix::parse("192.0.2.0/24")).to_edns());
+    opt.add_option(EdnsOption{10, {1, 2, 3, 4, 5, 6, 7, 8}});  // COOKIE
+    opt.add_option(EcsOption::for_query(Prefix::parse("2001:db8::/48")).to_edns());
+    write_seed("edns_ecs", "opt_body_ecs_cookie_ecs.bin", opt_body(opt));
   }
 }
 

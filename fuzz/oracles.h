@@ -17,6 +17,7 @@
 // any starting state.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -63,7 +64,7 @@ inline dnscore::Message dirty_message() {
   m.additional.push_back(ResourceRecord{owner, static_cast<RRType>(10), RRClass::IN, 3,
                                         RawRdata{10, std::vector<std::uint8_t>(40, 1)}});
   m.set_ecs(EcsOption::for_response(Prefix(IpAddress::parse("2001:db8::"), 48), 40));
-  m.opt->options.push_back(EdnsOption{10, std::vector<std::uint8_t>(24, 2)});
+  m.opt->add_option(EdnsOption{10, std::vector<std::uint8_t>(24, 2)});
   m.opt->udp_payload_size = 1232;
   m.opt->extended_rcode = 1;
   m.opt->version = 1;
@@ -186,11 +187,9 @@ inline void check_message_view(const std::uint8_t* data, std::size_t size) {
 
   ECSDNS_CHECK(view->has_ecs() == full->has_ecs());
   if (view->has_ecs()) {
-    const auto* raw = full->opt->find_option(dnscore::EdnsOptionCode::ECS);
-    ECSDNS_CHECK(raw != nullptr);
-    const auto payload = view->ecs_payload();
-    ECSDNS_CHECK(std::vector<std::uint8_t>(payload.begin(), payload.end()) ==
-                 raw->payload);
+    const auto raw = full->opt->find_option(dnscore::EdnsOptionCode::ECS);
+    ECSDNS_CHECK(raw.has_value());
+    ECSDNS_CHECK(std::ranges::equal(view->ecs_payload(), *raw));
   }
   // ecs() must decode-or-throw identically to Message::ecs() — a present
   // but structurally short payload throws on both sides.
@@ -321,7 +320,10 @@ inline void check_name(const std::uint8_t* data, std::size_t size) {
 // EDNS/ECS oracle, two interpretations of the same bytes:
 //  (a) as an ECS option payload — encode(decode(x)) must be the identity on
 //      everything from_edns accepts, including the non-compliant options
-//      the library deliberately represents (validate() classifies them);
+//      the library deliberately represents (validate() classifies them).
+//      from_edns accepts an ADDRESS of at most EcsOption::kMaxAddressOctets
+//      (32, the longest any source prefix length calls for); a longer one
+//      is rejected as unparseable;
 //  (b) as a full OPT RR body — parse_body → serialize → parse_body must be
 //      a fixed point.
 inline void check_edns_ecs(const std::uint8_t* data, std::size_t size) {

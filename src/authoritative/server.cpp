@@ -31,28 +31,25 @@ Zone* AuthServer::find_zone(const Name& qname) {
 std::optional<Message> AuthServer::handle(const Message& query,
                                           const IpAddress& sender, SimTime now) {
   Message response;
-  EcsOption ecs_scratch;
-  if (!handle_into(query, sender, now, response, ecs_scratch)) return std::nullopt;
+  if (!handle_into(query, sender, now, response)) return std::nullopt;
   return response;
 }
 
 bool AuthServer::handle_into(const Message& query, const IpAddress& sender,
-                             SimTime now, Message& response,
-                             EcsOption& ecs_scratch) {
+                             SimTime now, Message& response) {
   queries_served_.fetch_add(1, std::memory_order_relaxed);
   metrics_.queries.inc();
 
-  // Decode the query ECS once, into the caller's retained slot. A payload
-  // too short for its own declared lengths is flagged instead of letting
-  // WireFormatError escape into the socket loop.
-  const EcsOption* ecs = nullptr;
+  // Decode the query ECS once. An unparseable payload is flagged instead of
+  // letting WireFormatError escape into the socket loop.
+  std::optional<EcsOption> ecs;
   bool ecs_unparseable = false;
   try {
-    ecs = query.ecs_into(ecs_scratch);
+    ecs = query.ecs();
   } catch (const dnscore::WireFormatError&) {
     ecs_unparseable = true;
   }
-  const bool ecs_sent = ecs != nullptr || ecs_unparseable;
+  const bool ecs_sent = ecs.has_value() || ecs_unparseable;
   if (ecs_sent) metrics_.ecs_queries.inc();
 
   // The log entry (and its ECS copy) is only materialized when logging is
@@ -65,7 +62,7 @@ bool AuthServer::handle_into(const Message& query, const IpAddress& sender,
       entry.qname = query.question().qname;
       entry.qtype = query.question().qtype;
     }
-    if (ecs != nullptr) entry.query_ecs = *ecs;
+    entry.query_ecs = ecs;
   }
 
   if (config_.drop_ecs_queries && ecs_sent) {
@@ -74,7 +71,7 @@ bool AuthServer::handle_into(const Message& query, const IpAddress& sender,
     return false;  // the buggy silent drop
   }
 
-  answer_into(query, sender, ecs, ecs_unparseable, response);
+  answer_into(query, sender, ecs ? &*ecs : nullptr, ecs_unparseable, response);
 
   if (response.has_ecs()) metrics_.ecs_responses.inc();
   if (config_.log_queries) {
@@ -88,14 +85,11 @@ bool AuthServer::handle_into(const Message& query, const IpAddress& sender,
 void AuthServer::answer_into(const Message& query, const IpAddress& sender,
                              const EcsOption* ecs, bool ecs_unparseable,
                              Message& response) {
-  // The retained option list survives the reset: every exit below ends by
-  // set_ecs (overwriting the slot in place) or clear_ecs.
   response.reset_response(query);
   response.header.ra = false;  // authoritative servers do not offer recursion
 
   if (query.questions.empty() || query.header.opcode != dnscore::Opcode::QUERY) {
     response.header.rcode = query.questions.empty() ? RCode::FORMERR : RCode::NOTIMP;
-    response.clear_ecs();
     return;
   }
   if (query.opt && !config_.edns_supported) {
@@ -106,12 +100,10 @@ void AuthServer::answer_into(const Message& query, const IpAddress& sender,
   }
   if (query.opt && query.opt->version != 0) {
     response.header.rcode = RCode::BADVERS;
-    response.clear_ecs();
     return;
   }
   if (ecs_unparseable || (ecs != nullptr && ecs->is_malformed(/*in_query=*/true))) {
     response.header.rcode = RCode::FORMERR;
-    response.clear_ecs();
     return;
   }
 
@@ -119,7 +111,6 @@ void AuthServer::answer_into(const Message& query, const IpAddress& sender,
   Zone* zone = find_zone(q.qname);
   if (zone == nullptr) {
     response.header.rcode = RCode::REFUSED;
-    response.clear_ecs();
     return;
   }
 
@@ -193,14 +184,9 @@ void AuthServer::answer_into(const Message& query, const IpAddress& sender,
 
   if (ecs != nullptr && decision.include_option && response.opt) {
     // RFC 7871 §7.2.1: echo the query's option with the policy's scope.
-    // The encoded echo differs from the query's option only in the SCOPE
-    // PREFIX-LENGTH octet (payload offset 3), which is stamped in place,
-    // so the echo copies no option.
-    response.set_ecs(*ecs);
-    response.opt->find_option(dnscore::EdnsOptionCode::ECS)->payload[3] =
-        static_cast<std::uint8_t>(decision.scope);
-  } else {
-    response.clear_ecs();
+    EcsOption echo = *ecs;
+    echo.set_scope_prefix_length(static_cast<std::uint8_t>(decision.scope));
+    response.set_ecs(echo);
   }
 }
 
@@ -218,7 +204,7 @@ bool AuthServer::serve_wire(std::span<const std::uint8_t> wire,
   }
 
   Message& response = scratch.response;
-  if (!handle_into(query, sender, now, response, scratch.ecs)) return false;
+  if (!handle_into(query, sender, now, response)) return false;
   {
     dnscore::WireWriter writer(out);
     response.serialize_into(writer, scratch.table);
@@ -232,7 +218,6 @@ bool AuthServer::serve_wire(std::span<const std::uint8_t> wire,
     const bool aa = response.header.aa;
     const RCode rcode = response.header.rcode;
     response.reset_response(query);
-    response.clear_ecs();
     response.header.aa = aa;
     response.header.rcode = rcode;
     response.header.tc = true;

@@ -54,18 +54,14 @@ struct AuthConfig {
 };
 
 // Per-caller dispatch state reused across packets: the query/response
-// messages, the decoded-ECS slot, and the name-compression table all retain
-// their capacity, so a steady stream of same-shaped queries is served with
-// zero heap allocations (pinned by tests/test_noalloc_contracts.cpp). After
-// serve_wire accepts a packet, `query` equals Message::parse of it. One
-// scratch per attached service or live socket shard; never shared across
-// threads.
+// messages and the name-compression table retain their capacity, so a
+// steady stream of queries is served with zero heap allocations (pinned by
+// tests/test_noalloc_contracts.cpp). After serve_wire accepts a packet,
+// `query` equals Message::parse of it. One scratch per attached service or
+// live socket shard; never shared across threads.
 struct DispatchScratch {
   Message query;
   Message response;
-  // The query's ECS option, decoded by Message::ecs_into; its address
-  // buffer is never freed between packets.
-  EcsOption ecs;
   Name::CompressionTable table;
 };
 
@@ -84,11 +80,11 @@ class AuthServer {
                                 SimTime now);
 
   // Allocation-aware core handle() wraps: answers into `response`, reusing
-  // its buffers, decoding the query ECS into `ecs_scratch`. Returns false
-  // when the query is dropped. A structurally unparseable ECS payload
-  // answers FORMERR (RFC 7871 §7.1.2) instead of throwing.
+  // its buffers. Returns false when the query is dropped. A structurally
+  // unparseable ECS payload answers FORMERR (RFC 7871 §7.1.2) instead of
+  // throwing.
   bool handle_into(const Message& query, const IpAddress& sender, SimTime now,
-                   Message& response, EcsOption& ecs_scratch);
+                   Message& response);
 
   // Wire-to-wire dispatch shared by the simulated attach() service and the
   // live UDP shards: decodes `wire` with Message::parse_into into the
@@ -119,11 +115,9 @@ class AuthServer {
   const AuthConfig& config() const noexcept { return config_; }
 
  private:
-  // Answers into `response` (buffers reused). `ecs` is the decoded query
-  // option (null when absent); `ecs_unparseable` marks a
-  // present-but-undecodable option. Every exit path either installs a fresh
-  // ECS option or clears the retained slot, so stale state never leaks
-  // between packets.
+  // Answers into `response` (buffers reused, rebuilt from
+  // Message::reset_response). `ecs` is the decoded query option (null when
+  // absent); `ecs_unparseable` marks a present-but-undecodable option.
   void answer_into(const Message& query, const IpAddress& sender,
                    const EcsOption* ecs, bool ecs_unparseable, Message& response);
 

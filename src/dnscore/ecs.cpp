@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <array>
-
-#include "dnscore/contracts.h"
+#include <stdexcept>
 
 namespace ecsdns::dnscore {
 namespace {
@@ -26,28 +25,15 @@ std::string to_string(EcsIssue issue) {
   return "unknown issue";
 }
 
-EcsOption EcsOption::for_query(const Prefix& prefix) {
-  EcsOption o;
-  o.assign_from_prefix(prefix);
-  return o;
-}
-
 EcsOption EcsOption::for_response(const Prefix& prefix, int scope) {
   EcsOption o;
-  o.assign_from_prefix(prefix, scope);
-  return o;
-}
-
-void EcsOption::assign_from_prefix(const Prefix& prefix, int scope) {
-  family_ = static_cast<std::uint16_t>(
+  o.family_ = static_cast<std::uint16_t>(
       prefix.family() == IpFamily::V4 ? EcsFamily::IPv4 : EcsFamily::IPv6);
-  source_ = static_cast<std::uint8_t>(prefix.length());
-  scope_ = static_cast<std::uint8_t>(scope);
-  const auto& all = prefix.address().bytes();
-  // ecstidy:allow(noalloc): at most 16 octets; a retained option grows once
-  // and re-assigns in place afterwards.
-  address_.assign(all.begin(),
-                  all.begin() + static_cast<std::ptrdiff_t>(address_octets_for(source_)));
+  o.source_ = static_cast<std::uint8_t>(prefix.length());
+  o.scope_ = static_cast<std::uint8_t>(scope);
+  o.set_address_bytes(std::span<const std::uint8_t>(prefix.address().bytes())
+                          .first(address_octets_for(o.source_)));
+  return o;
 }
 
 EcsOption EcsOption::anonymous(EcsFamily family) {
@@ -58,15 +44,29 @@ EcsOption EcsOption::anonymous(EcsFamily family) {
   return o;
 }
 
+bool EcsOption::AddressView::operator==(const AddressView& other) const noexcept {
+  return std::ranges::equal(*this, other);
+}
+
+void EcsOption::set_address_bytes(std::span<const std::uint8_t> b) {
+  if (b.size() > kMaxAddressOctets) {
+    throw std::length_error("ECS address longer than " +
+                            std::to_string(kMaxAddressOctets) + " octets");
+  }
+  address_.fill(0);
+  std::copy(b.begin(), b.end(), address_.begin());
+  address_length_ = static_cast<std::uint8_t>(b.size());
+}
+
 std::optional<Prefix> EcsOption::source_prefix() const {
   const int max_bits = family_ == static_cast<std::uint16_t>(EcsFamily::IPv4) ? 32
                        : family_ == static_cast<std::uint16_t>(EcsFamily::IPv6)
                            ? 128
                            : -1;
   if (max_bits < 0 || source_ > max_bits) return std::nullopt;
-  if (address_.size() != address_octets_for(source_)) return std::nullopt;
+  if (address_length_ != address_octets_for(source_)) return std::nullopt;
   std::array<std::uint8_t, 16> bytes{};
-  std::copy(address_.begin(), address_.end(), bytes.begin());
+  std::copy_n(address_.begin(), address_length_, bytes.begin());
   const IpAddress addr = max_bits == 32
                              ? IpAddress::v4(bytes[0], bytes[1], bytes[2], bytes[3])
                              : IpAddress::v6(bytes);
@@ -94,12 +94,12 @@ std::vector<EcsIssue> EcsOption::validate(bool in_query) const {
     if (source_ > max_bits) issues.push_back(EcsIssue::kSourceLengthTooLong);
     if (scope_ > max_bits) issues.push_back(EcsIssue::kScopeLengthTooLong);
   }
-  if (address_.size() != address_octets_for(source_)) {
+  if (address_length_ != address_octets_for(source_)) {
     issues.push_back(EcsIssue::kAddressLengthMismatch);
-  } else if (source_ % 8 != 0 && !address_.empty()) {
+  } else if (source_ % 8 != 0 && address_length_ != 0) {
     // Bits of the final octet past the source prefix must be zero.
     const std::uint8_t mask = static_cast<std::uint8_t>(0xff >> (source_ % 8));
-    if ((address_.back() & mask) != 0) {
+    if ((address_[address_length_ - 1u] & mask) != 0) {
       issues.push_back(EcsIssue::kNonZeroTrailingBits);
     }
   }
@@ -124,18 +124,17 @@ bool EcsOption::is_malformed(bool in_query) const {
 }
 
 EdnsOption EcsOption::to_edns() const {
-  EdnsOption opt;
-  opt.code = static_cast<std::uint16_t>(EdnsOptionCode::ECS);
-  payload_into(opt.payload);
-  return opt;
+  const Payload p = payload();
+  return {static_cast<std::uint16_t>(EdnsOptionCode::ECS),
+          {p.bytes.begin(), p.bytes.begin() + static_cast<std::ptrdiff_t>(p.size)}};
 }
 
-void EcsOption::payload_into(std::vector<std::uint8_t>& out) const {
-  WireWriter w(out);
-  w.u16(family_);
-  w.u8(source_);
-  w.u8(scope_);
-  w.bytes({address_.data(), address_.size()});
+EcsOption::Payload EcsOption::payload() const noexcept {
+  Payload p{{static_cast<std::uint8_t>(family_ >> 8),
+             static_cast<std::uint8_t>(family_), source_, scope_},
+            4u + address_length_};
+  std::copy_n(address_.begin(), address_length_, p.bytes.begin() + 4);
+  return p;
 }
 
 EcsOption EcsOption::from_edns(const EdnsOption& option) {
@@ -146,22 +145,16 @@ EcsOption EcsOption::from_edns(const EdnsOption& option) {
 }
 
 EcsOption EcsOption::parse_payload(std::span<const std::uint8_t> payload) {
-  EcsOption o;
-  o.assign_from_payload(payload);
-  return o;
-}
-
-void EcsOption::assign_from_payload(std::span<const std::uint8_t> payload) {
   WireReader r(payload);
-  family_ = r.u16();
-  source_ = r.u8();
-  scope_ = r.u8();
-  const auto rest = r.bytes(r.remaining());
-  // ecstidy:allow(noalloc): refills the retained address buffer, which grows
-  // only for a longer address than it has held (16 octets for any valid
-  // option).
-  address_.assign(rest.begin(), rest.end());
-  ECSDNS_DCHECK(r.at_end());
+  EcsOption o;
+  o.family_ = r.u16();
+  o.source_ = r.u8();
+  o.scope_ = r.u8();
+  if (r.remaining() > kMaxAddressOctets) {
+    throw WireFormatError("ECS address longer than any source prefix length allows");
+  }
+  o.set_address_bytes(r.bytes(r.remaining()));
+  return o;
 }
 
 std::string EcsOption::to_string() const {
@@ -170,7 +163,7 @@ std::string EcsOption::to_string() const {
     out += p->to_string();
   } else {
     out += "family=" + std::to_string(family_) + " source=" + std::to_string(source_) +
-           " addr=" + hex_dump({address_.data(), address_.size()});
+           " addr=" + hex_dump(address_bytes());
   }
   out += " scope " + std::to_string(scope_);
   return out;

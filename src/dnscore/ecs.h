@@ -14,14 +14,22 @@
 // ADDRESS is exactly ceil(SOURCE PREFIX-LENGTH / 8) octets; bits past the
 // source prefix length MUST be zero.
 //
-// The struct is deliberately permissive: it can represent non-compliant
-// options (the paper catalogs resolvers that emit them), and validate()
-// reports every deviation so measurement code can classify behaviors.
+// The class is a plain value (its ADDRESS is stored inline) and
+// deliberately permissive: it represents any FAMILY and prefix lengths and
+// any ADDRESS of up to 32 octets, the longest any SOURCE PREFIX-LENGTH calls
+// for, so non-compliant options (the paper catalogs resolvers that emit
+// them) survive decoding and validate() reports every deviation. A longer
+// ADDRESS fits no source length and is unparseable.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "dnscore/annotations.h"
@@ -45,10 +53,26 @@ std::string to_string(EcsIssue issue);
 
 class EcsOption {
  public:
+  // The longest ADDRESS any SOURCE PREFIX-LENGTH calls for: ceil(255 / 8).
+  static constexpr std::size_t kMaxAddressOctets = 32;
+
+  // Read-only view of the ADDRESS octets; views compare by content.
+  struct AddressView : std::span<const std::uint8_t> {
+    bool operator==(const AddressView& other) const noexcept;
+  };
+
+  // The encoded option payload (no TLV header), held by value.
+  struct Payload {
+    std::array<std::uint8_t, 4 + kMaxAddressOctets> bytes{};
+    std::size_t size = 0;
+    std::span<const std::uint8_t> span() const noexcept { return {bytes.data(), size}; }
+  };
+
   EcsOption() = default;
 
-  // Compliant query option announcing `prefix` with scope 0.
-  static EcsOption for_query(const Prefix& prefix);
+  // Compliant query option announcing `prefix` with scope 0: the same as
+  // for_response(prefix, 0).
+  static EcsOption for_query(const Prefix& prefix) { return for_response(prefix, 0); }
   // Compliant response option echoing the query's prefix with the
   // authoritative `scope`.
   static EcsOption for_response(const Prefix& prefix, int scope);
@@ -59,12 +83,18 @@ class EcsOption {
   std::uint16_t family() const noexcept { return family_; }
   std::uint8_t source_prefix_length() const noexcept { return source_; }
   std::uint8_t scope_prefix_length() const noexcept { return scope_; }
-  const std::vector<std::uint8_t>& address_bytes() const noexcept { return address_; }
+  AddressView address_bytes() const noexcept {
+    return {{address_.data(), address_length_}};
+  }
 
   void set_family(std::uint16_t f) noexcept { family_ = f; }
   void set_source_prefix_length(std::uint8_t s) noexcept { source_ = s; }
   void set_scope_prefix_length(std::uint8_t s) noexcept { scope_ = s; }
-  void set_address_bytes(std::vector<std::uint8_t> b) { address_ = std::move(b); }
+  // Throws std::length_error past kMaxAddressOctets.
+  void set_address_bytes(std::span<const std::uint8_t> b);
+  void set_address_bytes(std::initializer_list<std::uint8_t> b) {
+    set_address_bytes(std::span<const std::uint8_t>(b.begin(), b.size()));
+  }
 
   // Interprets FAMILY + ADDRESS as a Prefix at the source prefix length.
   // Returns nullopt when the family is unknown or lengths are inconsistent.
@@ -85,12 +115,6 @@ class EcsOption {
   // as scope 0.
   bool is_malformed(bool in_query) const;
 
-  // Re-targets this option at `prefix` with `scope`, reusing the address
-  // buffer's capacity: for_query and for_response build on it, and the
-  // resolver fills its leased upstream option through it without
-  // allocating.
-  ECSDNS_NOALLOC void assign_from_prefix(const Prefix& prefix, int scope = 0);
-
   // Encodes to the generic EDNS option TLV (code 8).
   EdnsOption to_edns() const;
   // Decodes; throws WireFormatError if the payload is structurally
@@ -98,20 +122,14 @@ class EcsOption {
   // are preserved for validate() instead of throwing, because observing
   // them is the whole point of this library.
   static EcsOption from_edns(const EdnsOption& option);
-  // Same decode from the raw option payload (no TLV header). MessageView
-  // hands its in-place payload span here, so the two decode paths cannot
-  // diverge.
-  static EcsOption parse_payload(std::span<const std::uint8_t> payload);
-  // In-place variant of parse_payload: decodes into this object, reusing
-  // the address buffer's capacity. The packet path decodes every query's
-  // ECS into a per-shard scratch option through this, so steady-state
-  // dispatch never allocates for it. Throws like parse_payload; fields may
-  // be partially overwritten on throw.
-  void assign_from_payload(std::span<const std::uint8_t> payload);
-  // Appends the option payload wire bytes (no TLV header) into `out`,
-  // replacing its contents but reusing its capacity — the in-place dual of
-  // to_edns() for Message::set_ecs's retained option slot.
-  ECSDNS_NOALLOC void payload_into(std::vector<std::uint8_t>& out) const;
+  // Same decode from the raw option payload (no TLV header). Throws
+  // WireFormatError on a payload shorter than the fixed 4-octet header or
+  // an ADDRESS longer than kMaxAddressOctets. Message and MessageView hand
+  // their in-place payload spans here, so the decode paths cannot diverge.
+  ECSDNS_NOALLOC static EcsOption parse_payload(std::span<const std::uint8_t> payload);
+  // The option payload wire bytes (no TLV header), by value: the allocation-
+  // free encoding Message::set_ecs installs.
+  ECSDNS_NOALLOC Payload payload() const noexcept;
 
   // e.g. "ECS 1.2.3.0/24 scope 0".
   std::string to_string() const;
@@ -122,7 +140,12 @@ class EcsOption {
   std::uint16_t family_ = static_cast<std::uint16_t>(EcsFamily::IPv4);
   std::uint8_t source_ = 0;
   std::uint8_t scope_ = 0;
-  std::vector<std::uint8_t> address_;
+  std::uint8_t address_length_ = 0;
+  // Octets past address_length_ stay zero, so the defaulted == compares
+  // values.
+  std::array<std::uint8_t, kMaxAddressOctets> address_{};
 };
+
+static_assert(std::is_trivially_copyable_v<EcsOption>);
 
 }  // namespace ecsdns::dnscore

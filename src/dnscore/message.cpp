@@ -49,6 +49,7 @@ void Message::reset_response(const Message& query) {
     opt->extended_rcode = 0;
     opt->version = 0;
     opt->dnssec_ok = false;
+    opt->clear_options();
   } else {
     opt.reset();
   }
@@ -60,25 +61,15 @@ const Question& Message::question() const {
 }
 
 std::optional<EcsOption> Message::ecs() const {
-  EcsOption ecs;
-  if (ecs_into(ecs) == nullptr) return std::nullopt;
-  return ecs;
-}
-
-const EcsOption* Message::ecs_into(EcsOption& slot) const {
-  if (!opt) return nullptr;
-  const EdnsOption* raw = opt->find_option(EdnsOptionCode::ECS);
-  if (raw == nullptr) return nullptr;
-  slot.assign_from_payload({raw->payload.data(), raw->payload.size()});
-  return &slot;
+  if (!opt) return std::nullopt;
+  const auto payload = opt->find_option(EdnsOptionCode::ECS);
+  if (!payload) return std::nullopt;
+  return EcsOption::parse_payload(*payload);
 }
 
 void Message::set_ecs(const EcsOption& ecs) {
   if (!opt) opt = OptRecord{};
-  // Encode into the retained option slot: once a message object has carried
-  // ECS, re-setting it is allocation-free (the dispatch scratch relies on
-  // this).
-  ecs.payload_into(opt->ensure_option(EdnsOptionCode::ECS).payload);
+  opt->set_option(EdnsOptionCode::ECS, ecs.payload().span());
 }
 
 bool Message::clear_ecs() {

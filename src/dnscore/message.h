@@ -45,11 +45,9 @@ class Message {
   // Builds a response skeleton from a query: copies id, question, opcode,
   // sets QR/RA, and echoes EDNS presence with an empty option list.
   static Message make_response(const Message& query);
-  // make_response applied to this retained message: header and sections are
-  // reset, but vector capacity survives for the next packet. The OPT option
-  // list is deliberately kept (its slots hold payload capacity), so a
-  // caller must end by set_ecs or clear_ecs; on a fresh message the result
-  // equals make_response(query).
+  // make_response applied to this retained message: the result equals
+  // make_response(query), but the section vectors and the OPT option
+  // buffer keep their capacity for the next packet.
   void reset_response(const Message& query);
 
   const Question& question() const;
@@ -57,14 +55,11 @@ class Message {
   bool is_response() const noexcept { return header.qr; }
 
   // --- ECS convenience ---
-  // The decoded ECS option, if an OPT record with one is present.
-  std::optional<EcsOption> ecs() const;
-  // ecs() decoding into a caller-kept option instead (its address buffer is
-  // reused): returns `slot`, or null when the message carries no ECS.
-  // Throws like ecs() on an undecodable payload.
-  ECSDNS_NOALLOC const EcsOption* ecs_into(EcsOption& slot) const;
+  // The decoded ECS option, if an OPT record with one is present. Throws
+  // WireFormatError on an undecodable payload (EcsOption::parse_payload).
+  ECSDNS_NOALLOC std::optional<EcsOption> ecs() const;
   // Installs (or replaces) the ECS option, creating the OPT record if
-  // needed.
+  // needed (OptRecord::set_option).
   void set_ecs(const EcsOption& ecs);
   // Removes the ECS option; keeps the OPT record (a resolver that strips
   // ECS still speaks EDNS). Returns true if one was removed.
@@ -73,7 +68,7 @@ class Message {
   // allocation. Note: unlike ecs(), this returns true for a present but
   // structurally unparseable option (ecs() throws on those).
   bool has_ecs() const noexcept {
-    return opt && opt->find_option(EdnsOptionCode::ECS) != nullptr;
+    return opt && opt->find_option(EdnsOptionCode::ECS).has_value();
   }
 
   // First A/AAAA address in the answer section, if any — the "first answer"
@@ -103,11 +98,11 @@ class Message {
   ECSDNS_NOALLOC void serialize_into(WireWriter& writer,
                                      Name::CompressionTable& table) const;
   ECSDNS_MAY_BLOCK static Message parse(std::span<const std::uint8_t> wire);
-  // The one parser, decoding into `out` in place: section vectors and OPT
-  // option slots keep their capacity, so re-parsing a same-shaped message
-  // allocates nothing. Accepts and rejects exactly what parse() does (parse
-  // is a wrapper over this); on a throw `out` holds a valid but unspecified
-  // message.
+  // The one parser, decoding into `out` in place: section vectors and the
+  // OPT option buffer keep their capacity, so re-parsing a same-shaped
+  // message allocates nothing. Accepts and rejects exactly what parse()
+  // does (parse is a wrapper over this); on a throw `out` holds a valid but
+  // unspecified message.
   ECSDNS_NOALLOC static void parse_into(std::span<const std::uint8_t> wire,
                                         Message& out);
 

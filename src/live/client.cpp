@@ -32,6 +32,15 @@ void LiveClient::init(const LiveClientConfig& config) {
     rx_storage_[i].resize(config.recv_buffer_bytes);
     recv_slots_[i].buffer = std::span<std::uint8_t>(rx_storage_[i]);
   }
+  // One response buffer per in-flight slot, up front: a poll that completes
+  // every outstanding query at once still fills pooled buffers, however
+  // small the bursts before it were.
+  const std::size_t seeded = std::min(slots_.size(), netsim::BufferPool::kMaxPooled);
+  for (std::size_t i = 0; i < seeded; ++i) {
+    std::vector<std::uint8_t> buf;
+    buf.reserve(config.recv_buffer_bytes);
+    pool_.release(std::move(buf));
+  }
   auto& reg = obs::MetricsRegistry::global();
   metrics_.queries = obs::CounterHandle(reg.counter("live.client.queries"));
   metrics_.responses = obs::CounterHandle(reg.counter("live.client.responses"));

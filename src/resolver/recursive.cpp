@@ -29,12 +29,6 @@ struct ResolutionScratch {
   // its own lease for the client's query and response.
   Message query;
   Message response;
-  EcsOption client_ecs;    // the client's decoded ECS option
-  EcsOption upstream_ecs;  // the option sent upstream
-  EcsOption response_ecs;  // the reply's decoded ECS option
-  // The query's ECS slot while a query goes out without ECS, so the slot's
-  // payload capacity survives for the next query that carries it.
-  dnscore::EdnsOption parked_ecs;
   std::vector<IpAddress> servers;  // candidate order for this hop
   Name::CompressionTable table;    // the attach() service's responses
 };
@@ -74,9 +68,8 @@ class ScratchLease {
 // Rebuilds `query` in place as make_query(id, qname, qtype) with RD clear,
 // an empty OPT record and, when `ecs` is set, that option — the same
 // message, and so the same bytes, without a fresh Message per hop.
-ECSDNS_NOALLOC void build_query(Message& query, dnscore::EdnsOption& parked_ecs,
-                                std::uint16_t id, const Name& qname, RRType qtype,
-                                const EcsOption* ecs) {
+ECSDNS_NOALLOC void build_query(Message& query, std::uint16_t id, const Name& qname,
+                                RRType qtype, const EcsOption* ecs) {
   query.header = dnscore::Header{};
   query.header.id = id;
   query.header.rd = false;
@@ -98,19 +91,9 @@ ECSDNS_NOALLOC void build_query(Message& query, dnscore::EdnsOption& parked_ecs,
   opt.extended_rcode = 0;
   opt.version = 0;
   opt.dnssec_ok = false;
+  opt.clear_options();
   if (ecs != nullptr) {
-    if (opt.options.empty()) {
-      // ecstidy:allow(noalloc): the option vector's one slot is allocated
-      // on first use; later pushes fit the retained capacity.
-      opt.options.push_back(std::move(parked_ecs));
-    }
-    // ecstidy:allow(noalloc): shrinking to the one ECS slot never allocates.
-    opt.options.resize(1);
-    opt.options.front().code = static_cast<std::uint16_t>(dnscore::EdnsOptionCode::ECS);
-    ecs->payload_into(opt.options.front().payload);
-  } else if (!opt.options.empty()) {
-    parked_ecs = std::move(opt.options.front());
-    opt.options.clear();
+    opt.set_option(dnscore::EdnsOptionCode::ECS, ecs->payload().span());
   }
 }
 
@@ -208,9 +191,8 @@ std::optional<ClientIdentity> RecursiveResolver::self_identity() const {
   return std::nullopt;
 }
 
-void RecursiveResolver::build_option(const Question& question,
-                                     const ClientIdentity& identity,
-                                     EcsOption& out) const {
+EcsOption RecursiveResolver::build_option(const Question& question,
+                                          const ClientIdentity& identity) const {
   const bool v4 = identity.address.is_v4();
   int policy_bits = v4 ? config_.v4_source_bits : config_.v6_source_bits;
   if (config_.adapt_source_to_scope) {
@@ -241,11 +223,10 @@ void RecursiveResolver::build_option(const Question& question,
     auto bytes = dnscore::truncate_address(identity.address, keep).bytes();
     bytes[static_cast<std::size_t>(keep / 8)] = config_.jam_octet_value;
     const IpAddress jammed = IpAddress::v4(bytes[0], bytes[1], bytes[2], bytes[3]);
-    out.assign_from_prefix(Prefix{jammed, keep + 8});
-    return;
+    return EcsOption::for_query(Prefix{jammed, keep + 8});
   }
   const int bits = std::min(identity.bits, policy_bits);
-  out.assign_from_prefix(Prefix{identity.address, bits});
+  return EcsOption::for_query(Prefix{identity.address, bits});
 }
 
 bool RecursiveResolver::name_matches_probe_list(const Name& qname) const {
@@ -263,59 +244,57 @@ bool RecursiveResolver::caching_disabled_for(const Name& qname) const {
          name_matches_probe_list(qname);
 }
 
-bool RecursiveResolver::upstream_ecs(const Question& question,
-                                     const ClientIdentity& identity,
-                                     bool infrastructure_hop, bool cache_missed,
-                                     EcsOption& out) {
-  if (infrastructure_hop && !config_.ecs_to_root_servers) return false;
+std::optional<EcsOption> RecursiveResolver::upstream_ecs(const Question& question,
+                                                         const ClientIdentity& identity,
+                                                         bool infrastructure_hop,
+                                                         bool cache_missed) {
+  if (infrastructure_hop && !config_.ecs_to_root_servers) return std::nullopt;
   const bool address_query =
       question.qtype == RRType::A || question.qtype == RRType::AAAA;
   if (!address_query && question.qtype == RRType::NS && !config_.ecs_on_ns_queries) {
-    return false;
+    return std::nullopt;
   }
-  if (!address_query && question.qtype != RRType::NS) return false;
+  if (!address_query && question.qtype != RRType::NS) return std::nullopt;
 
   switch (config_.probing) {
     case ProbingStrategy::kNever:
-      return false;
+      return std::nullopt;
     case ProbingStrategy::kAlways:
       break;
     case ProbingStrategy::kProbeHostnamesNoCache:
-      if (!name_matches_probe_list(question.qname)) return false;
+      if (!name_matches_probe_list(question.qname)) return std::nullopt;
       break;
     case ProbingStrategy::kProbeHostnamesOnMiss:
       if (!name_matches_probe_list(question.qname) || !cache_missed) {
-        return false;
+        return std::nullopt;
       }
       break;
     case ProbingStrategy::kPeriodicLoopbackProbe: {
       const SimTime now = network_.now();
       if (last_probe_ >= 0 && now - last_probe_ < config_.probe_interval) {
-        return false;
+        return std::nullopt;
       }
       last_probe_ = now;
       // The probe deliberately reveals nothing: loopback, full length.
-      out.assign_from_prefix(Prefix{IpAddress::v4(127, 0, 0, 1), 32});
-      return true;
+      return EcsOption::for_query(Prefix{IpAddress::v4(127, 0, 0, 1), 32});
     }
     case ProbingStrategy::kZoneWhitelist:
-      if (!zone_whitelisted(question.qname)) return false;
+      if (!zone_whitelisted(question.qname)) return std::nullopt;
       break;
     case ProbingStrategy::kIrregular: {
       // Deterministic per-(resolver, query-ordinal) coin flip.
       netsim::SplitMix64 coin(config_.irregular_seed ^
                               (0x9e3779b97f4a7c15ull * counters_.upstream_queries));
       const double u = static_cast<double>(coin.next() >> 11) * 0x1.0p-53;
-      if (u >= config_.irregular_probability) return false;
+      if (u >= config_.irregular_probability) return std::nullopt;
       break;
     }
   }
 
   // Client opted out (source 0) with a resolver configured to omit rather
   // than self-identify: honor the opt-out.
-  if (identity.opted_out) return false;
-  build_option(question, identity, out);
-  return true;
+  if (identity.opted_out) return std::nullopt;
+  return build_option(question, identity);
 }
 
 std::optional<Message> RecursiveResolver::handle_client_query(const Message& query,
@@ -339,31 +318,30 @@ bool RecursiveResolver::handle_client_query_into(const Message& query,
                    own_address_, 0, q.qname.to_string()});
   }
 
-  ScratchLease lease;
-  ResolutionScratch& s = *lease;
   // RFC 7871 §7.1.1: a malformed client ECS option earns a FORMERR.
-  const EcsOption* client_ecs = nullptr;
+  std::optional<EcsOption> client_ecs;
   bool malformed = false;
   try {
-    client_ecs = query.ecs_into(s.client_ecs);
+    client_ecs = query.ecs();
   } catch (const dnscore::WireFormatError&) {
     malformed = true;
   }
-  if (client_ecs != nullptr) malformed = client_ecs->is_malformed(/*in_query=*/true);
+  if (client_ecs) malformed = client_ecs->is_malformed(/*in_query=*/true);
   response.reset_response(query);
   if (malformed) {
     response.header.rcode = RCode::FORMERR;
-    response.clear_ecs();
     return true;
   }
 
-  const ClientIdentity identity = identify_client(client_ecs, sender);
+  const ClientIdentity identity =
+      identify_client(client_ecs ? &*client_ecs : nullptr, sender);
 
-  const Resolution resolution = resolve(q, identity, s, response.answers);
+  ScratchLease lease;
+  const Resolution resolution = resolve(q, identity, *lease, response.answers);
 
   response.header.rcode = resolution.rcode;
   std::optional<Prefix> echo_source;
-  if (client_ecs != nullptr && resolution.echo_scope && response.opt) {
+  if (client_ecs && resolution.echo_scope && response.opt) {
     echo_source = client_ecs->source_prefix();
   }
   if (echo_source) {
@@ -373,10 +351,7 @@ bool RecursiveResolver::handle_client_query_into(const Message& query,
     // /0 with scope 0; the old behavior of announcing a non-/0 prefix to
     // an opted-out client leaked the resolver's identity policy.
     const int scope = echo_source->length() == 0 ? 0 : *resolution.echo_scope;
-    s.client_ecs.assign_from_prefix(*echo_source, scope);
-    response.set_ecs(s.client_ecs);
-  } else {
-    response.clear_ecs();
+    response.set_ecs(EcsOption::for_response(*echo_source, scope));
   }
   if (tracer.enabled()) {
     tracer.record({network_.now(), obs::TraceKind::kClientResponse, own_address_,
@@ -479,7 +454,7 @@ RecursiveResolver::Resolution RecursiveResolver::resolve(
       return out;
     }
     const Message& response = s.response;
-    cache_answer(current, identity, response, s.response_ecs, out);
+    cache_answer(current, identity, response, out);
     out.rcode = response.header.rcode;
     answers.insert(answers.end(), response.answers.begin(), response.answers.end());
 
@@ -601,10 +576,9 @@ bool RecursiveResolver::query_authoritatives(const Question& question,
     }
 
     const std::uint16_t id = next_id_++;
-    const bool ecs = upstream_ecs(question, identity, infrastructure_hop,
-                                  /*cache_missed=*/true, s.upstream_ecs);
-    build_query(query, s.parked_ecs, id, send_qname, send_qtype,
-                ecs ? &s.upstream_ecs : nullptr);
+    const std::optional<EcsOption> ecs =
+        upstream_ecs(question, identity, infrastructure_hop, /*cache_missed=*/true);
+    build_query(query, id, send_qname, send_qtype, ecs ? &*ecs : nullptr);
 
     // One serialization per hop, reused across every server candidate and
     // the TCP retry (the bytes are identical); the buffer itself is
@@ -630,7 +604,7 @@ bool RecursiveResolver::query_authoritatives(const Question& question,
         tracer.record({network_.now(), obs::TraceKind::kUpstreamQuery,
                        own_address_, server, 0,
                        send_qname.to_string() +
-                           (ecs ? " " + s.upstream_ecs.to_string() : std::string{})});
+                           (ecs ? " " + ecs->to_string() : std::string{})});
       }
       const SimTime sent_at = network_.now();
       auto wire = network_.round_trip(own_address_, server, query_wire);
@@ -658,7 +632,7 @@ bool RecursiveResolver::query_authoritatives(const Question& question,
         auto plain_wire = network_.buffer_pool().acquire();
         {
           // The same message without its OPT record; swapping the record
-          // aside and back keeps its option slots.
+          // aside and back keeps its option buffer.
           std::optional<dnscore::OptRecord> opt;
           opt.swap(query.opt);
           dnscore::WireWriter writer(plain_wire);
@@ -696,8 +670,7 @@ bool RecursiveResolver::query_authoritatives(const Question& question,
 
 void RecursiveResolver::cache_answer(const Question& question,
                                      const ClientIdentity& identity,
-                                     const Message& response, EcsOption& ecs_slot,
-                                     Resolution& out) {
+                                     const Message& response, Resolution& out) {
   // Negative results go into the RFC 2308 cache; the TTL comes from the
   // authority SOA minimum when present.
   if (response.header.rcode == RCode::NXDOMAIN ||
@@ -718,9 +691,7 @@ void RecursiveResolver::cache_answer(const Question& question,
   }
   if (response.header.rcode != RCode::NOERROR || response.answers.empty()) return;
   if (caching_disabled_for(question.qname)) {
-    if (const auto* ecs = response.ecs_into(ecs_slot)) {
-      out.echo_scope = ecs->scope_prefix_length();
-    }
+    if (const auto ecs = response.ecs()) out.echo_scope = ecs->scope_prefix_length();
     return;
   }
   const SimTime now = network_.now();
@@ -728,7 +699,7 @@ void RecursiveResolver::cache_answer(const Question& question,
   const SimTime ttl = static_cast<SimTime>(ttl_s) * netsim::kSecond;
   if (ttl <= 0) return;
 
-  const EcsOption* ecs = response.ecs_into(ecs_slot);
+  const std::optional<EcsOption> ecs = response.ecs();
   const int family_cap =
       identity.address.is_v4() ? config_.max_cache_prefix_v4 : config_.max_cache_prefix_v6;
 

@@ -52,9 +52,9 @@ struct ResolverCounters {
   std::uint64_t cname_restarts = 0;
 };
 
-// Per-resolution working storage (the upstream query and its reply, decoded
-// ECS options, the server order), leased from a thread-local freelist for
-// the length of one client query; defined in recursive.cpp.
+// Per-resolution working storage (the upstream query and its reply, the
+// server order), leased from a thread-local freelist for the length of one
+// client query; defined in recursive.cpp.
 struct ResolutionScratch;
 
 class RecursiveResolver {
@@ -93,20 +93,17 @@ class RecursiveResolver {
   // `client_ecs` is the client's decoded ECS option, or null.
   ClientIdentity identify_client(const dnscore::EcsOption* client_ecs,
                                  const IpAddress& sender);
-  // Fills `out` with the ECS option to attach upstream and returns true, or
-  // returns false for none, per the probing strategy and prefix policy.
-  // `infrastructure_hop` marks queries to root/TLD servers, which compliant
-  // resolvers never send ECS to.
-  ECSDNS_NOALLOC bool upstream_ecs(const Question& question,
-                                   const ClientIdentity& identity,
-                                   bool infrastructure_hop, bool cache_missed,
-                                   dnscore::EcsOption& out);
-  // Builds the announced prefix from a client identity into `out` (applies
+  // The ECS option to attach upstream, or nullopt for none, per the
+  // probing strategy and prefix policy. `infrastructure_hop` marks queries
+  // to root/TLD servers, which compliant resolvers never send ECS to.
+  ECSDNS_NOALLOC std::optional<dnscore::EcsOption> upstream_ecs(
+      const Question& question, const ClientIdentity& identity,
+      bool infrastructure_hop, bool cache_missed);
+  // Builds the announced option from a client identity (applies
   // truncation, the jam-last-octet deviation, and — when enabled — the
   // per-zone scope adaptation learned from earlier responses).
-  ECSDNS_NOALLOC void build_option(const Question& question,
-                                   const ClientIdentity& identity,
-                                   dnscore::EcsOption& out) const;
+  ECSDNS_NOALLOC dnscore::EcsOption build_option(const Question& question,
+                                                 const ClientIdentity& identity) const;
   std::optional<ClientIdentity> self_identity() const;
 
   // Resolves `question`, appending the answer records to `answers`.
@@ -129,10 +126,8 @@ class RecursiveResolver {
   };
   ECSDNS_NOALLOC NsSet nameservers_for(const dnscore::Name& qname) const;
   void cache_referral(const Message& response);
-  // `ecs_slot` receives the reply's decoded ECS option.
   void cache_answer(const Question& question, const ClientIdentity& identity,
-                    const Message& response, dnscore::EcsOption& ecs_slot,
-                    Resolution& out);
+                    const Message& response, Resolution& out);
   bool name_matches_probe_list(const dnscore::Name& qname) const;
   bool zone_whitelisted(const dnscore::Name& qname) const;
   bool caching_disabled_for(const dnscore::Name& qname) const;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <vector>
 
 #include "dnscore/ecs.h"
 #include "dnscore/edns.h"
@@ -15,8 +17,8 @@ TEST(OptRecord, SerializeParseRoundTrip) {
   OptRecord opt;
   opt.udp_payload_size = 1232;
   opt.dnssec_ok = true;
-  opt.options.push_back(EdnsOption{8, {0, 1, 24, 0, 1, 2, 3}});
-  opt.options.push_back(EdnsOption{10, {0xde, 0xad}});
+  opt.add_option(EdnsOption{8, {0, 1, 24, 0, 1, 2, 3}});
+  opt.add_option(EdnsOption{10, {0xde, 0xad}});
 
   WireWriter w;
   opt.serialize(w);
@@ -26,18 +28,18 @@ TEST(OptRecord, SerializeParseRoundTrip) {
   const OptRecord back = OptRecord::parse_body(r);
   EXPECT_EQ(back.udp_payload_size, 1232);
   EXPECT_TRUE(back.dnssec_ok);
-  ASSERT_EQ(back.options.size(), 2u);
-  EXPECT_EQ(back.options[0].code, 8);
-  EXPECT_EQ(back.options[1].payload.size(), 2u);
+  ASSERT_EQ(back.options().size(), 2u);
+  EXPECT_EQ(back.options()[0].code, 8);
+  EXPECT_EQ(back.options()[1].payload.size(), 2u);
 }
 
 TEST(OptRecord, FindAndRemoveOption) {
   OptRecord opt;
-  opt.options.push_back(EdnsOption{8, {}});
-  opt.options.push_back(EdnsOption{10, {}});
-  EXPECT_NE(opt.find_option(EdnsOptionCode::ECS), nullptr);
+  opt.add_option(EdnsOption{8, {}});
+  opt.add_option(EdnsOption{10, {}});
+  EXPECT_TRUE(opt.find_option(EdnsOptionCode::ECS).has_value());
   EXPECT_EQ(opt.remove_option(EdnsOptionCode::ECS), 1u);
-  EXPECT_EQ(opt.find_option(EdnsOptionCode::ECS), nullptr);
+  EXPECT_FALSE(opt.find_option(EdnsOptionCode::ECS).has_value());
   EXPECT_EQ(opt.remove_option(EdnsOptionCode::ECS), 0u);
 }
 
@@ -119,6 +121,26 @@ TEST(EcsOption, ValidateFlagsAddressLengthMismatch) {
                       EcsIssue::kAddressLengthMismatch),
             issues.end());
   EXPECT_FALSE(ecs.source_prefix().has_value());
+}
+
+// 32 octets is the longest ADDRESS any SOURCE PREFIX-LENGTH calls for: a
+// 32-octet ADDRESS under a /24 still decodes, re-encodes exactly and is
+// flagged as a length mismatch; one octet more is unparseable.
+TEST(EcsOption, AddressBeyond32OctetsIsUnparseable) {
+  EdnsOption raw{8, {0, 1, 24, 0}};
+  raw.payload.resize(4 + EcsOption::kMaxAddressOctets, 0x5a);
+  const auto ecs = EcsOption::from_edns(raw);
+  EXPECT_EQ(ecs.address_bytes().size(), 32u);
+  EXPECT_EQ(ecs.to_edns(), raw);
+  const auto issues = ecs.validate(/*in_query=*/true);
+  EXPECT_NE(std::find(issues.begin(), issues.end(),
+                      EcsIssue::kAddressLengthMismatch),
+            issues.end());
+  EXPECT_TRUE(ecs.is_malformed(/*in_query=*/true));
+  raw.payload.push_back(0x5a);
+  EXPECT_THROW(EcsOption::from_edns(raw), WireFormatError);
+  EcsOption built;
+  EXPECT_THROW(built.set_address_bytes(std::vector<std::uint8_t>(33)), std::length_error);
 }
 
 TEST(EcsOption, ValidateFlagsTrailingBits) {

@@ -198,8 +198,9 @@ TEST(LiveUdp, MalformedEcsGetsFormerrOverTheWire) {
   // absurd source length): RFC 7871 §7.1.2 says FORMERR, not a drop.
   Message q = Message::make_query(0x0201, kZone.prepend("www"), RRType::A);
   q.opt.emplace();
-  auto& slot = q.opt->ensure_option(dnscore::EdnsOptionCode::ECS);
-  slot.payload = {0x00, 0x63, 0xff, 0x00};
+  q.opt->add_option(dnscore::EdnsOption{
+      static_cast<std::uint16_t>(dnscore::EdnsOptionCode::ECS),
+      {0x00, 0x63, 0xff, 0x00}});
   const auto wire = q.serialize();
 
   const auto response = client.exchange(wire);

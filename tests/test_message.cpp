@@ -84,7 +84,7 @@ TEST(Message, EcsHelpers) {
   EXPECT_EQ(q.ecs()->source_prefix(), Prefix::parse("9.9.9.0/24"));
   // Replacing installs exactly one option.
   q.set_ecs(EcsOption::for_query(Prefix::parse("8.8.8.0/24")));
-  EXPECT_EQ(q.opt->options.size(), 1u);
+  EXPECT_EQ(q.opt->options().size(), 1u);
   EXPECT_TRUE(q.clear_ecs());
   EXPECT_FALSE(q.has_ecs());
   EXPECT_TRUE(q.opt.has_value());  // EDNS presence survives
@@ -95,15 +95,34 @@ TEST(Message, HasEcsIsAPresenceProbe) {
   Message q = Message::make_query(2, Name::from_string("x.org"), RRType::A);
   q.opt = OptRecord{};
   // A structurally short ECS payload: present on the wire, undecodable.
-  q.opt->options.push_back(EdnsOption{
+  q.opt->add_option(EdnsOption{
       static_cast<std::uint16_t>(EdnsOptionCode::ECS), {0x00, 0x01}});
   EXPECT_TRUE(q.has_ecs());              // probe sees the TLV
   EXPECT_THROW(q.ecs(), WireFormatError);  // decode rejects it
   // A non-ECS option does not trip the probe.
   Message other = Message::make_query(3, Name::from_string("x.org"), RRType::A);
   other.opt = OptRecord{};
-  other.opt->options.push_back(EdnsOption{10 /* COOKIE */, {1, 2, 3, 4}});
+  other.opt->add_option(EdnsOption{10 /* COOKIE */, {1, 2, 3, 4}});
   EXPECT_FALSE(other.has_ecs());
+}
+
+// set_ecs over an option list of ECS, COOKIE, ECS: the first ECS option is
+// rewritten where it stands (here growing from a v4 to a v6 payload),
+// COOKIE stays second, and the later duplicate is dropped.
+TEST(Message, SetEcsRewritesFirstEcsInPlaceAndDropsDuplicates) {
+  Message q = Message::make_query(0x0a0b, Name::from_string("x.org"), RRType::A);
+  q.opt = OptRecord{};
+  q.opt->add_option(EcsOption::for_query(Prefix::parse("192.0.2.0/24")).to_edns());
+  q.opt->add_option(EdnsOption{10 /* COOKIE */, {1, 2, 3, 4, 5, 6, 7, 8}});
+  q.opt->add_option(EcsOption::for_query(Prefix::parse("198.51.100.0/24")).to_edns());
+  q.set_ecs(EcsOption::for_query(Prefix::parse("2001:db8:7::/48")));
+  const std::vector<std::uint8_t> want = {
+      0x0a, 0x0b, 0x01, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+      0x01, 0x78, 0x03, 0x6f, 0x72, 0x67, 0x00, 0x00, 0x01, 0x00, 0x01, 0x00,
+      0x00, 0x29, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x1a, 0x00, 0x08,
+      0x00, 0x0a, 0x00, 0x02, 0x30, 0x00, 0x20, 0x01, 0x0d, 0xb8, 0x00, 0x07,
+      0x00, 0x0a, 0x00, 0x08, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08};
+  EXPECT_EQ(q.serialize(/*compress=*/false), want);
 }
 
 TEST(Message, EcsSurvivesWire) {

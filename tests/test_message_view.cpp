@@ -101,7 +101,7 @@ TEST(MessageView, PresentButShortEcsProbesTrueDecodesThrow) {
   q.opt = OptRecord{};
   // Two bytes cannot hold family + source + scope: presence probe says yes,
   // decode throws — mirroring Message::has_ecs() vs Message::ecs().
-  q.opt->options.push_back(EdnsOption{
+  q.opt->add_option(EdnsOption{
       static_cast<std::uint16_t>(EdnsOptionCode::ECS), {0x00, 0x01}});
   const auto wire = wire_of(q);
   const MessageView view({wire.data(), wire.size()});

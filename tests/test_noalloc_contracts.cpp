@@ -196,6 +196,110 @@ TEST(LiveWireNoalloc, ClientSubmitPollSteadyStateIsAllocationFree) {
   EXPECT_EQ(allocs(), before) << "steady-state client loop allocated";
 }
 
+// Both query shapes an authoritative sees most, interleaved: an ECS query
+// and an OPT record without ECS. The reply to the first carries an ECS echo
+// and the reply to the second does not, so the scratch messages' OPT
+// option buffers change shape on every packet and must still not allocate.
+TEST(LiveWireNoalloc, ShardMixedEcsAndPlainQueriesAreAllocationFree) {
+  authoritative::AuthConfig config;
+  config.log_queries = false;  // log appends allocate by design
+  authoritative::AuthServer auth(
+      config, std::make_unique<authoritative::ScopeDeltaPolicy>(4));
+  const auto zone = Name::from_string("noalloc.example");
+  auth.add_zone(zone).add(dnscore::ResourceRecord::make_a(
+      zone.prepend("www"), 300, dnscore::IpAddress::v4(203, 0, 113, 10)));
+
+  netsim::MockUdpSocket socket;
+  socket.set_record_sends(false);
+  live::FakeClock clock;
+  live::LiveServerConfig server_config;
+  server_config.batch = 4;
+  server_config.recv_buffer_bytes = 512;
+  live::ServerShard shard(socket, auth, clock, server_config);
+
+  Message ecs_query = Message::make_query(0x4242, zone.prepend("www"), RRType::A);
+  ecs_query.set_ecs(dnscore::EcsOption::for_query(
+      dnscore::Prefix::parse("198.51.100.0/24")));
+  Message plain_query = Message::make_query(0x4243, zone.prepend("www"), RRType::A);
+  plain_query.opt.emplace();
+  const std::vector<std::uint8_t> wires[] = {ecs_query.serialize(),
+                                             plain_query.serialize()};
+  const netsim::SocketAddress peer{dnscore::IpAddress::v4(127, 0, 0, 1), 40000};
+
+  for (int i = 0; i < 32; ++i) {
+    socket.push_rx(wires[i % 2], peer);
+    shard.process_once();
+    clock.advance_us(10);
+  }
+
+  const auto before = allocs();
+  for (int i = 0; i < 200; ++i) {
+    socket.push_rx(wires[i % 2], peer);
+    ASSERT_EQ(shard.process_once(), 1u);
+    clock.advance_us(10);
+  }
+  EXPECT_EQ(allocs(), before)
+      << "alternating ECS and plain EDNS queries allocated";
+}
+
+// The client's response pool must cover a burst that completes every
+// in-flight query in one poll, even when warm-up only ever completed one
+// query per poll.
+TEST(LiveWireNoalloc, ClientBurstAfterTrickleWarmupIsAllocationFree) {
+  constexpr int kSlots = 16;
+  netsim::MockUdpSocket socket;
+  socket.set_record_sends(false);
+  live::FakeClock clock;
+  live::LiveClientConfig config;
+  config.server = {dnscore::IpAddress::v4(127, 0, 0, 1), 53};
+  config.max_in_flight = kSlots;
+  config.batch = kSlots;
+  live::LiveClient client(config, socket, clock);
+
+  std::vector<std::vector<std::uint8_t>> queries;
+  std::vector<std::vector<std::uint8_t>> responses;
+  for (int i = 0; i < kSlots; ++i) {
+    queries.push_back(Message::make_query(static_cast<std::uint16_t>(0x0100 + i),
+                                          Name::from_string("www.noalloc.example"),
+                                          RRType::A)
+                          .serialize());
+    responses.push_back(queries.back());
+    responses.back()[2] |= 0x80;  // QR
+  }
+  std::vector<live::Completion> done;
+  done.reserve(kSlots);
+  const netsim::SocketAddress peer = config.server;
+  const auto submit_all = [&] {
+    for (int i = 0; i < kSlots; ++i) {
+      ASSERT_TRUE(client.submit(queries[static_cast<std::size_t>(i)],
+                                static_cast<std::uint64_t>(i)));
+    }
+  };
+  const auto drain = [&](std::size_t expected) {
+    done.clear();
+    ASSERT_EQ(client.poll(done), expected);
+    for (auto& c : done) {
+      ASSERT_TRUE(c.ok);
+      client.pool().release(std::move(c.response));
+    }
+    clock.advance_us(10);
+  };
+
+  // Warm-up: every slot holds a query, and the responses trickle in one
+  // per poll.
+  submit_all();
+  for (const auto& response : responses) {
+    socket.push_rx(response, peer);
+    drain(1);
+  }
+
+  const auto before = allocs();
+  submit_all();
+  for (const auto& response : responses) socket.push_rx(response, peer);
+  drain(kSlots);
+  EXPECT_EQ(allocs(), before) << "a completion burst allocated response buffers";
+}
+
 // Bounded caches: once a cache has filled to its bound, every further event
 // — hit, capacity eviction, expiry, insert into a recycled slot — runs on
 // the slot-indexed structures it already owns.

@@ -316,7 +316,7 @@ TEST_F(ServeWireTest, RetainedScratchMatchesFreshScratch) {
   // An ECS payload too short for its own header: FORMERR.
   Message short_ecs = Message::make_query(4, n("www.example.com"), RRType::A);
   short_ecs.opt = dnscore::OptRecord{};
-  short_ecs.opt->options.push_back(dnscore::EdnsOption{8, {0, 1, 24}});
+  short_ecs.opt->add_option(dnscore::EdnsOption{8, {0, 1, 24}});
   sequence.push_back(short_ecs);
   Message two = Message::make_query(5, n("www.example.com"), RRType::A);
   two.questions.push_back(dnscore::Question{n("fat.example.com"), RRType::A});
@@ -338,6 +338,29 @@ TEST_F(ServeWireTest, RetainedScratchMatchesFreshScratch) {
   const auto formerr = serve(short_ecs, fresh);
   ASSERT_TRUE(formerr.has_value());
   EXPECT_EQ(Message::parse(*formerr).header.rcode, RCode::FORMERR);
+}
+
+// An ECS ADDRESS of 40 octets fits no source prefix length: the option is
+// unparseable, answered FORMERR with the query's OPT record and no echo.
+// The reply bytes are pinned; a scratch that just served an ECS echo gives
+// the same bytes.
+TEST_F(ServeWireTest, OversizeEcsAddressAnswersFormErr) {
+  Message q = Message::make_query(10, n("www.example.com"), RRType::A);
+  q.opt = dnscore::OptRecord{};
+  dnscore::EdnsOption raw{8, {0, 1, 24, 0}};
+  for (std::uint8_t i = 0; i < 40; ++i) raw.payload.push_back(0xa0 + i);
+  q.opt->add_option(raw);
+  const std::vector<std::uint8_t> want = {
+      0x00, 0x0a, 0x81, 0x01, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+      0x03, 0x77, 0x77, 0x77, 0x07, 0x65, 0x78, 0x61, 0x6d, 0x70, 0x6c, 0x65,
+      0x03, 0x63, 0x6f, 0x6d, 0x00, 0x00, 0x01, 0x00, 0x01, 0x00, 0x00, 0x29,
+      0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  DispatchScratch fresh;
+  EXPECT_EQ(serve(q, fresh), want);
+  EXPECT_FALSE(server_.log().back().query_ecs.has_value());
+  DispatchScratch retained;
+  ASSERT_TRUE(serve(query_with_ecs(11, "www.example.com", "1.2.3.0/24"), retained));
+  EXPECT_EQ(serve(q, retained), want);
 }
 
 }  // namespace
