@@ -2,6 +2,9 @@
 // simulator that Figures 1-3 are built on.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "bench_common.h"
 
 #include "measurement/cache_sim.h"
@@ -65,6 +68,32 @@ void BM_CacheLookupHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheLookupHit)->Arg(8)->Arg(64)->Arg(512);
+
+// resolver_fleet's pattern: insert, let the entry expire, look it up so the
+// lookup sweeps it, insert again. Each iteration advances time past the TTL
+// and cycles over a handful of questions, so every lookup misses on an
+// expired entry and every insert lands in a recycled slot.
+void BM_CacheExpireReinsert(benchmark::State& state) {
+  resolver::EcsCache cache;
+  std::vector<Name> names;
+  for (int i = 0; i < 8; ++i) {
+    names.push_back(Name::from_string("h" + std::to_string(i) + ".example.com"));
+  }
+  std::vector<dnscore::ResourceRecord> records{
+      dnscore::ResourceRecord::make_a(names[0], 20, IpAddress::parse("1.1.1.1"))};
+  const auto client = IpAddress::v4(100, 64, 1, 5);
+  const Prefix block{client, 24};
+  constexpr netsim::SimTime kTtl = 20 * netsim::kSecond;
+  netsim::SimTime now = 0;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Name& qname = names[i++ % names.size()];
+    benchmark::DoNotOptimize(cache.lookup(qname, dnscore::RRType::A, client, now));
+    cache.insert(qname, dnscore::RRType::A, block, 24, records, now, kTtl);
+    now += kTtl / 4;
+  }
+}
+BENCHMARK(BM_CacheExpireReinsert);
 
 void BM_TraceGeneration(benchmark::State& state) {
   for (auto _ : state) {

@@ -15,7 +15,7 @@
 //     from a found slot before mutating the table;
 //   * iteration order is unspecified and changes across rehashes — callers
 //     must only fold order-independent quantities (counts, sums) out of
-//     for_each/erase_if, which is what keeps sharded results bit-identical;
+//     for_each, which is what keeps sharded results bit-identical;
 //   * Key and Value must be movable; the stored hash is computed once per
 //     insert and reused for growth, probing, and backward-shift homing, so
 //     hashing a Key (e.g. Name) never happens twice for resident entries.
@@ -179,22 +179,6 @@ class FlatHashMap {
     for (std::size_t i = 0; i < capacity_; ++i) {
       if (hashes_[i] != kEmpty) fn(const_cast<const Slot&>(slots_[i]));
     }
-  }
-
-  // Erases every entry matching `pred(slot)`; returns how many went.
-  // Backward shift relocates survivors mid-scan, so matches are collected
-  // first and erased by key afterwards — the predicate sees each live entry
-  // exactly once.
-  template <class Pred>
-  std::size_t erase_if(Pred&& pred) {
-    std::vector<Key> doomed;
-    for (std::size_t i = 0; i < capacity_; ++i) {
-      if (hashes_[i] != kEmpty && pred(const_cast<const Slot&>(slots_[i]))) {
-        doomed.push_back(slots_[i].key);
-      }
-    }
-    for (const Key& key : doomed) erase(key);
-    return doomed.size();
   }
 
   void clear() {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,7 +41,6 @@ struct CacheEntry {
   std::uint8_t scope = 0;  // scope to echo to clients (RFC 7871 §7.2.1)
   SimTime inserted_at = 0;
   SimTime expiry = 0;
-  EntryId id = 0;  // SlotEviction slot; unused in unbounded caches
 };
 
 struct CacheStats {
@@ -78,15 +78,17 @@ class EcsCache {
   // `client` matches only global (scope 0) entries — that is what a cache
   // lookup without any client identity can safely reuse. The returned
   // pointer is valid only until the next insert/purge on this cache
-  // (flat-table storage relocates on mutation); read, don't hold.
-  const CacheEntry* lookup(const Name& qname, RRType qtype,
-                           const std::optional<IpAddress>& client, SimTime now);
+  // (the entry slab relocates when it grows); read, don't hold.
+  ECSDNS_NOALLOC const CacheEntry* lookup(const Name& qname, RRType qtype,
+                                          const std::optional<IpAddress>& client,
+                                          SimTime now);
 
   // Inserts an answer valid for `network` (already truncated to the
   // effective scope by the caller's policy). scope 0 is stored as a global
-  // entry. Replaces any existing entry with the same network.
+  // entry. Replaces any existing entry with the same network. The records
+  // are copied into the entry slot's retained storage.
   void insert(const Name& qname, RRType qtype, const Prefix& network,
-              std::uint8_t echo_scope, std::vector<ResourceRecord> records,
+              std::uint8_t echo_scope, std::span<const ResourceRecord> records,
               SimTime now, SimTime ttl);
 
   // Drops expired entries; called opportunistically and by tests.
@@ -103,6 +105,8 @@ class EcsCache {
   void clear();
 
  private:
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+
   struct Key {
     Name qname;
     RRType qtype;
@@ -119,22 +123,45 @@ class EcsCache {
       return Key::hash_of(k.qname, k.qtype);
     }
   };
-  // Entries per question are bucketed by scope length and hashed by block,
-  // so a lookup probes one bucket per distinct length instead of scanning
-  // every cached subnet — the same longest-prefix-first structure real
-  // resolvers (and our IpGeoDb) use. The buckets live in a small vector
-  // kept sorted by descending length (a question rarely sees more than a
-  // handful of distinct scope lengths), and each bucket is a flat
-  // open-addressing table: one allocation per bucket instead of one per
-  // entry, which is where the §7 replay used to spend its time.
-  struct LengthBucket {
-    int length = 0;
-    dnscore::FlatHashMap<dnscore::Prefix, CacheEntry, dnscore::PrefixHash>
-        entries;
+  // Entries are stored flat: one slab of slots per cache, indexed by slot
+  // number (a bounded cache's SlotEviction slot; unbounded caches recycle
+  // freed slots through their own freelist). A freed slot keeps its record
+  // vector's capacity, so an insert into a recycled slot copies records
+  // without allocating. Each slot knows its question and sits on an
+  // intrusive chain of the entries sharing its (question, scope length).
+  struct Slot {
+    CacheEntry entry;
+    std::uint32_t question = kNil;
+    std::uint32_t prev = kNil;  // chain neighbours (same question and
+    std::uint32_t next = kNil;  // length); `next` also links free slots
   };
-  struct QuestionEntries {
-    std::vector<LengthBucket> by_length;  // sorted by length, descending
-    LengthBucket& bucket_for(int length);
+  // A question's entries of one scope length: the head of their chain.
+  struct LengthChain {
+    int length = 0;
+    std::uint32_t head = kNil;
+  };
+  // Questions are interned into a recycled slab too. A live question holds
+  // one chain per scope length present, longest first, so a lookup probes
+  // one block per distinct length — the same longest-prefix-first walk
+  // real resolvers (and our IpGeoDb) use. A question whose last entry left
+  // returns to the freelist with its chain vector's capacity intact.
+  struct Question {
+    Key key;
+    std::vector<LengthChain> lengths;  // descending length; empty = free
+    std::uint32_t next_free = kNil;
+  };
+  // The block an entry is filed under: the zero prefix for global entries.
+  // A scoped block carries the client's family, so cross-family entries of
+  // one length never collide.
+  struct BlockKey {
+    std::uint32_t question = 0;
+    Prefix block;
+    bool operator==(const BlockKey&) const = default;
+  };
+  struct BlockKeyHash {
+    std::size_t operator()(const BlockKey& k) const noexcept {
+      return dnscore::hash_combine(k.block.hash(), k.question);
+    }
   };
 
   // Mirrors into the process-wide obs registry: per-instance accounting
@@ -154,40 +181,36 @@ class EcsCache {
     obs::GaugeHandle live_entries;
   };
 
-  // Where a live entry sits, so a victim named by slot can be erased
-  // without scanning. Maintained only when bounded — the unbounded hot path
-  // (the perf-gated §7 replay) never touches it.
-  struct EntryLoc {
-    Name qname;
-    RRType qtype = RRType::A;
-    Prefix key;  // bucket key: zero prefix for global entries
-    int length = 0;
-  };
-
-  dnscore::FlatHashMap<Key, QuestionEntries, KeyHash> map_;
+  dnscore::FlatHashMap<Key, std::uint32_t, KeyHash> question_index_;
+  dnscore::FlatHashMap<BlockKey, std::uint32_t, BlockKeyHash> block_index_;
+  std::vector<Question> questions_;
+  std::vector<Slot> slots_;
+  std::uint32_t free_question_ = kNil;
+  std::uint32_t free_slot_ = kNil;  // unbounded only
   CacheConfig config_;
-  // Bounded-only state, allocated once by the bounded constructor: the
-  // victim order, which hands out each live entry's slot (CacheEntry::id),
-  // and the slab locating the entry in each slot. Slots are recycled, so
-  // the slab stops growing at the bound.
-  struct Eviction {
-    explicit Eviction(EvictionPolicy policy) : order(policy) {}
-    SlotEviction order;
-    std::vector<EntryLoc> slots;
-  };
-  std::unique_ptr<Eviction> eviction_;  // null when unbounded
+  // Bounded only: the victim order, which hands out each live entry's slot.
+  // Slots are recycled, so the slab stops growing at the bound.
+  std::unique_ptr<SlotEviction> eviction_;  // null when unbounded
   CacheStats stats_;
   std::size_t live_entries_ = 0;
-  Metrics metrics_;
+  const Metrics* metrics_ = nullptr;  // shared by every cache with this policy
 
-  void register_metrics();
+  static const Metrics& metrics_for(EvictionPolicy policy);
   void note_size();
-  void note_expirations(std::size_t n);
-  // Drops a live entry from the eviction bookkeeping (victim order and its
-  // slot). No-op stats-wise; callers count the exit themselves.
-  // The eviction path runs inside insert(), i.e. on the resolution hot
-  // path, and only ever shrinks structures — it must not allocate.
-  ECSDNS_NOALLOC void forget_entry(const CacheEntry& entry);
+  ECSDNS_NOALLOC void note_expirations(std::size_t n);
+  ECSDNS_NOALLOC std::uint32_t find_question(const Name& qname, RRType qtype) const;
+  // Claims a slot for a new (question, block) entry and files it under its
+  // question, interning the question first if needed. The one place where
+  // the slabs and the index tables grow.
+  ECSDNS_MAY_BLOCK std::uint32_t claim_slot(const Name& qname, RRType qtype,
+                                            const Prefix& block, int length);
+  // Takes `slot` off `chain` and frees it: out of the block index and the
+  // victim order. Callers count the exit and drop emptied chains.
+  ECSDNS_NOALLOC void unlink(std::uint32_t slot, LengthChain& chain);
+  // Frees every entry on `chain` expired at `now`; returns how many went.
+  ECSDNS_NOALLOC std::size_t sweep(LengthChain& chain, SimTime now);
+  // Returns a question with no chain left to the freelist.
+  ECSDNS_NOALLOC void release_question(std::uint32_t question);
   // Evicts strategy-named victims until an insert adding `incoming_entries`
   // entries fits the configured bound — room is made BEFORE the insert, so
   // the bound is never observably exceeded.

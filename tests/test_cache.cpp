@@ -136,6 +136,54 @@ TEST(EcsCache, ExpiryOnLookupSweepsEvenWhenAShorterEntryHits) {
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
+// purge_expired sweeps every question and scope length in place: each
+// expired entry leaves exactly once, every survivor stays findable, and
+// freed slots are reused without disturbing the live chains around them.
+TEST(EcsCache, PurgeSweepsEachExpiredEntryExactlyOnce) {
+  EcsCache cache;
+  const Name names[] = {Name::from_string("a.example.com"),
+                        Name::from_string("b.example.com"),
+                        Name::from_string("c.example.com")};
+  constexpr int kLengths[] = {16, 24, 32};
+  std::size_t short_lived = 0;
+  for (int i = 0; i < 72; ++i) {
+    const int length = kLengths[i % 3];
+    const bool expires = i % 2 == 0;
+    short_lived += expires;
+    cache.insert(names[i / 24], RRType::A,
+                 Prefix{IpAddress::v4(10, static_cast<std::uint8_t>(i), 0, 1), length},
+                 static_cast<std::uint8_t>(length), answer("1.1.1.1"), 0,
+                 (expires ? 10 : 60) * kSecond);
+  }
+  cache.purge_expired(30 * kSecond);
+  EXPECT_EQ(cache.stats().expired_evictions, short_lived);
+  EXPECT_EQ(cache.size(), 72u - short_lived);
+  cache.purge_expired(30 * kSecond);
+  EXPECT_EQ(cache.stats().expired_evictions, short_lived);
+  for (const Name& name : names) {
+    EXPECT_EQ(cache.entries_for(name, RRType::A, 30 * kSecond), 12u);
+  }
+  // Reinsert into the freed slots, then check every entry answers for its
+  // own block.
+  for (int i = 0; i < 72; i += 2) {
+    cache.insert(names[i / 24], RRType::A,
+                 Prefix{IpAddress::v4(10, static_cast<std::uint8_t>(i), 0, 1),
+                        kLengths[i % 3]},
+                 static_cast<std::uint8_t>(kLengths[i % 3]), answer("2.2.2.2"),
+                 30 * kSecond, 60 * kSecond);
+  }
+  for (int i = 0; i < 72; ++i) {
+    const CacheEntry* hit =
+        cache.lookup(names[i / 24], RRType::A,
+                     IpAddress::v4(10, static_cast<std::uint8_t>(i), 0, 1), 31 * kSecond);
+    ASSERT_NE(hit, nullptr) << i;
+    EXPECT_EQ(hit->network.length(), kLengths[i % 3]) << i;
+    EXPECT_EQ(hit->records, answer(i % 2 == 0 ? "2.2.2.2" : "1.1.1.1")) << i;
+  }
+  EXPECT_EQ(cache.size(), 72u);
+  EXPECT_EQ(cache.stats().insertions, cache.stats().accounted_insertions(cache.size()));
+}
+
 TEST(EcsCache, TracksMaxEntries) {
   EcsCache cache;
   for (int i = 0; i < 10; ++i) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "measurement/cache_sim.h"
 #include "measurement/tracegen.h"
@@ -29,18 +30,24 @@ class ReferenceCache {
     Prefix network;
     bool global;
     netsim::SimTime expiry;
+    std::uint8_t scope;  // echo scope
+    std::uint32_t tag;   // which insert stored it
   };
 
   void insert(const Name& qname, dnscore::RRType qtype, const Prefix& network,
-              netsim::SimTime now, netsim::SimTime ttl) {
+              std::uint8_t scope, std::uint32_t tag, netsim::SimTime now,
+              netsim::SimTime ttl) {
     // Replace same-network entry if present.
     for (auto& e : entries_) {
       if (e.qname == qname && e.qtype == qtype && e.network == network) {
         e.expiry = now + ttl;
+        e.scope = scope;
+        e.tag = tag;
         return;
       }
     }
-    entries_.push_back(Entry{qname, qtype, network, network.length() == 0, now + ttl});
+    entries_.push_back(
+        Entry{qname, qtype, network, network.length() == 0, now + ttl, scope, tag});
   }
 
   // Returns the covering entry with the longest prefix, or nullptr.
@@ -56,9 +63,24 @@ class ReferenceCache {
     return best;
   }
 
+  std::size_t live_for(const Name& qname, dnscore::RRType qtype,
+                       netsim::SimTime now) const {
+    std::size_t live = 0;
+    for (const auto& e : entries_) {
+      live += e.qname == qname && e.qtype == qtype && e.expiry > now;
+    }
+    return live;
+  }
+
  private:
   std::vector<Entry> entries_;
 };
+
+// The answer stored by insert number `tag`: distinct per insert, so a hit
+// served from a recycled slot's stale records cannot pass for the model's.
+dnscore::ResourceRecord tagged_answer(const Name& qname, std::uint32_t tag) {
+  return dnscore::ResourceRecord::make_a(qname, 20, IpAddress::v4(tag));
+}
 
 class ModelBasedCache : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -70,23 +92,40 @@ TEST_P(ModelBasedCache, AgreesWithReferenceModel) {
   const std::vector<Name> names = {Name::from_string("a.example.com"),
                                    Name::from_string("b.example.com"),
                                    Name::from_string("c.example.net")};
-  const std::vector<int> scopes = {0, 8, 16, 20, 22, 24, 28, 32};
+  const std::vector<int> v4_scopes = {0, 8, 16, 20, 22, 24, 28, 32};
+  const std::vector<int> v6_scopes = {0, 32, 48, 56, 64, 128};
 
   netsim::SimTime now = 0;
   for (int op = 0; op < 4000; ++op) {
     now += static_cast<netsim::SimTime>(rng.uniform(3 * kSecond));
     const Name& qname = rng.pick(names);
     // A small address universe so collisions and coverage actually happen.
-    const auto addr = IpAddress::v4(10, 0, static_cast<std::uint8_t>(rng.uniform(4)),
-                                    static_cast<std::uint8_t>(rng.uniform(8) * 32));
+    const bool v6 = rng.chance(0.3);
+    const auto addr =
+        v6 ? IpAddress::parse("2001:db8:" + std::to_string(rng.uniform(4)) + "::" +
+                              std::to_string(rng.uniform(8) * 32))
+           : IpAddress::v4(10, 0, static_cast<std::uint8_t>(rng.uniform(4)),
+                           static_cast<std::uint8_t>(rng.uniform(8) * 32));
+    if (rng.chance(0.05)) {
+      cache.purge_expired(now);
+      continue;
+    }
     if (rng.chance(0.4)) {
-      const int scope = rng.pick(scopes);
-      const Prefix network{addr, scope};
+      const int scope = rng.pick(v6 ? v6_scopes : v4_scopes);
+      // Global answers are filed under the zero prefix with echo scope 0,
+      // as the resolver stores them; a scoped answer echoes its scope or
+      // anything longer.
+      const Prefix network = scope == 0 ? Prefix{} : Prefix{addr, scope};
+      const auto echo = static_cast<std::uint8_t>(
+          scope == 0 ? 0
+                     : scope + static_cast<int>(rng.uniform(static_cast<std::uint64_t>(
+                                   addr.bit_length() - scope + 1))));
       const auto ttl = static_cast<netsim::SimTime>(
           (5 + rng.uniform(40)) * static_cast<std::uint64_t>(kSecond));
-      cache.insert(qname, dnscore::RRType::A, network,
-                   static_cast<std::uint8_t>(scope), {}, now, ttl);
-      model.insert(qname, dnscore::RRType::A, network, now, ttl);
+      const auto tag = static_cast<std::uint32_t>(op);
+      const dnscore::ResourceRecord answer[] = {tagged_answer(qname, tag)};
+      cache.insert(qname, dnscore::RRType::A, network, echo, answer, now, ttl);
+      model.insert(qname, dnscore::RRType::A, network, echo, tag, now, ttl);
     } else {
       const auto* got = cache.lookup(qname, dnscore::RRType::A, addr, now);
       const auto* want = model.lookup(qname, dnscore::RRType::A, addr, now);
@@ -95,9 +134,17 @@ TEST_P(ModelBasedCache, AgreesWithReferenceModel) {
       if (got != nullptr) {
         EXPECT_EQ(got->network, want->network) << "op " << op;
         EXPECT_EQ(got->expiry, want->expiry) << "op " << op;
+        EXPECT_EQ(got->scope, want->scope) << "op " << op;
+        ASSERT_EQ(got->records.size(), 1u) << "op " << op;
+        EXPECT_EQ(got->records[0], tagged_answer(qname, want->tag)) << "op " << op;
       }
+      EXPECT_EQ(cache.entries_for(qname, dnscore::RRType::A, now),
+                model.live_for(qname, dnscore::RRType::A, now))
+          << "op " << op;
     }
   }
+  EXPECT_EQ(cache.stats().insertions,
+            cache.stats().accounted_insertions(cache.size()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ModelBasedCache,

@@ -361,6 +361,44 @@ TEST_P(BoundedNoalloc, EcsCacheInsertAndLookupSteadyStateIsAllocationFree) {
   EXPECT_GE(cache.stats().capacity_evictions, static_cast<std::uint64_t>(kMeasured));
 }
 
+// Unbounded caches recycle too: an entry that expires is swept by the
+// lookup that finds it (or by purge_expired) and its slot, record storage
+// and question go back to freelists, so the expire/sweep/reinsert churn of
+// short-TTL ECS answers runs on storage the cache already owns.
+TEST(EcsCacheNoalloc, UnboundedExpireSweepReinsertIsAllocationFree) {
+  resolver::EcsCache cache;
+  const std::vector<Name> names = {Name::from_string("a.noalloc.example"),
+                                   Name::from_string("b.noalloc.example"),
+                                   Name::from_string("c.noalloc.example")};
+  // Copied into the cache by every insert; never moved.
+  const std::vector<dnscore::ResourceRecord> answer = {
+      dnscore::ResourceRecord::make_a(names[0], 20,
+                                      dnscore::IpAddress::v4(203, 0, 113, 1))};
+  constexpr int kScopes[] = {16, 24, 32};
+  const auto step = [&](int i) {
+    const netsim::SimTime now = i * netsim::kSecond;
+    const Name& qname = names[static_cast<std::size_t>(i % 3)];
+    const auto client =
+        dnscore::IpAddress::v4(10, 0, static_cast<std::uint8_t>(i % 8), 1);
+    if (cache.lookup(qname, RRType::A, client, now) == nullptr) {
+      const int scope = kScopes[(i / 3) % 3];
+      cache.insert(qname, RRType::A, dnscore::Prefix{client, scope},
+                   static_cast<std::uint8_t>(scope), answer, now,
+                   20 * netsim::kSecond);
+    }
+    if (i % 16 == 0) cache.purge_expired(now);
+  };
+  int i = 0;
+  for (; i < 512; ++i) step(i);  // warm-up: slabs and tables at their peak
+  const auto before = allocs();
+  const auto expired_before = cache.stats().expired_evictions;
+  for (; i < 512 + 4096; ++i) step(i);
+  EXPECT_EQ(allocs(), before) << "expire/sweep/reinsert churn allocated";
+  EXPECT_GT(cache.stats().expired_evictions - expired_before, 1000u);
+  EXPECT_EQ(cache.stats().insertions,
+            cache.stats().accounted_insertions(cache.size()));
+}
+
 TEST_P(BoundedNoalloc, BoundedReplaySteadyStateIsAllocationFree) {
   measurement::CacheSimOptions options;
   options.with_ecs = true;
@@ -484,6 +522,31 @@ TEST_F(ResolverNoalloc, CacheHitIsAllocationFree) {
   EXPECT_EQ(steady_state_allocs(resolver, 100), 0u)
       << "answering from the cache allocated";
   EXPECT_EQ(resolver.counters().cache_hits, 103u);
+}
+
+// Every query past the answer's 20 s TTL: the lookup finds the expired
+// entry (or, after a purge, no question at all), the resolver refetches
+// upstream, and the answer is inserted again — the resolver_fleet pattern.
+TEST_F(ResolverNoalloc, ExpiredAnswerRefetchIsAllocationFree) {
+  auto& resolver = bed_.add_resolver(resolver::ResolverConfig::correct(), "Chicago");
+  auto& loop = bed_.network().loop();
+  const Message query = Message::make_query(1, host_, RRType::A);
+  Message response;
+  int round = 0;
+  const auto ask = [&] {
+    loop.advance(21 * netsim::kSecond);
+    if (++round % 4 == 0) resolver.cache().purge_expired(loop.now());
+    ASSERT_TRUE(resolver.handle_client_query_into(query, client_, response));
+    ASSERT_EQ(response.header.rcode, dnscore::RCode::NOERROR);
+    ASSERT_EQ(response.answers.size(), 1u);
+  };
+  for (int i = 0; i < 8; ++i) ask();
+  const auto insertions_before = resolver.cache().stats().insertions;
+  const auto before = allocs();
+  for (int i = 0; i < 100; ++i) ask();
+  EXPECT_EQ(allocs() - before, 0u) << "refetching an expired answer allocated";
+  EXPECT_EQ(resolver.cache().stats().insertions - insertions_before, 100u);
+  EXPECT_EQ(resolver.counters().cache_hits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, BoundedNoalloc,
