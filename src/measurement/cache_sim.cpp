@@ -186,8 +186,7 @@ CacheSimResult StreamingCacheSim::finish() {
 
 CacheSimResult simulate_cache_stream(const TraceStreamFactory& factory,
                                      const CacheSimOptions& options) {
-  std::unique_ptr<TraceStream> probe = factory();
-  const TraceStreamInfo info = probe->info();
+  const TraceStreamInfo info = factory()->info();
   // A shard beyond the resolver count would own no resolver.
   const std::size_t shards =
       info.time_ordered
@@ -201,8 +200,7 @@ CacheSimResult simulate_cache_stream(const TraceStreamFactory& factory,
   netsim::run_sharded(
       shards, runner, obs::MetricsRegistry::global(),
       [&](std::size_t s, obs::MetricsRegistry& metrics) {
-        // The dispatch probe is still untouched: shard 0 replays it.
-        std::unique_ptr<TraceStream> stream = s == 0 ? std::move(probe) : factory();
+        std::unique_ptr<TraceStream> stream = factory();
         ECSDNS_CHECK(shards == 1 || stream->restrict_to_members(s, shards));
         StreamingCacheSim sim(info.resolvers, options, metrics);
         TraceQuery q;

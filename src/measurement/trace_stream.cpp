@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "dnscore/ip.h"
@@ -50,6 +51,23 @@ int pick_scope(double w24, double w16, double w8, Rng& rng) {
 // 32-bit, so any id >= 2^32 cannot collide).
 constexpr std::uint64_t kScopeStreamId = 1ull << 32;
 
+const PublicResolverCdnConfig& validated(const PublicResolverCdnConfig& config) {
+  if (config.min_clients_per_resolver == 0 ||
+      config.max_clients_per_resolver < config.min_clients_per_resolver) {
+    throw std::invalid_argument(
+        "PublicResolverCdnConfig: need 0 < min_clients_per_resolver <= "
+        "max_clients_per_resolver");
+  }
+  if (!(config.min_qps > 0) || !(config.max_qps >= config.min_qps)) {
+    throw std::invalid_argument(
+        "PublicResolverCdnConfig: need 0 < min_qps <= max_qps");
+  }
+  if (config.hostnames == 0) {
+    throw std::invalid_argument("PublicResolverCdnConfig: need hostnames > 0");
+  }
+  return config;
+}
+
 }  // namespace
 
 TraceStreamInfo scan_trace_info(const Trace& trace) {
@@ -67,8 +85,7 @@ TraceStreamInfo scan_trace_info(const Trace& trace) {
 
 PublicResolverCdnStream::PublicResolverCdnStream(
     const PublicResolverCdnConfig& config)
-    : duration_(config.duration),
-      ttl_s_(config.ttl_s),
+    : config_(validated(config)),
       names_(config.hostnames, config.zipf_exponent) {
   info_.hostnames = config.hostnames;
   info_.resolvers = config.resolvers;
@@ -81,93 +98,99 @@ PublicResolverCdnStream::PublicResolverCdnStream(
     s = pick_scope(config.scope24_weight, config.scope16_weight,
                    config.scope8_weight, scope_rng);
   }
-
-  rng_.reserve(config.resolvers);
-  arrival_.resize(config.resolvers);
-  mean_gap_us_.resize(config.resolvers);
-  population_.resize(config.resolvers);
-  subnets_.resize(config.resolvers);
-  salt_.resize(config.resolvers);
-  for (std::uint32_t r = 0; r < config.resolvers; ++r) {
-    // Everything resolver r ever does is a pure function of (seed, r).
-    Rng rng = Rng::stream(config.seed, r);
-    // Population and load sampled log-uniformly: the heterogeneity of a
-    // public service's egress fleet (spreads Figure 1 across 1x..16x).
-    const double lo = config.min_clients_per_resolver;
-    const double hi = config.max_clients_per_resolver;
-    const auto population = static_cast<std::uint32_t>(
-        lo * std::exp(rng.uniform_double() * std::log(hi / lo)));
-    population_[r] = population;
-    subnets_[r] = std::max(1u, population / 4);  // ~4 clients per /24 block
-    salt_[r] = rng.next_u64();
-    // Busier resolvers serve more clients: couple qps to population.
-    const double spread =
-        static_cast<double>(population - config.min_clients_per_resolver) /
-        static_cast<double>(config.max_clients_per_resolver -
-                            config.min_clients_per_resolver);
-    const double qps =
-        config.min_qps +
-        spread * (config.max_qps - config.min_qps) * (0.5 + rng.uniform_double());
-    mean_gap_us_[r] = 1e6 / qps;
-    arrival_[r] = rng.exponential(mean_gap_us_[r]);
-    rng_.push_back(rng);
-    if (static_cast<SimTime>(arrival_[r]) < duration_) {
-      wheel_.push(static_cast<SimTime>(arrival_[r]), r, r);
-    }
-  }
 }
 
-IpAddress PublicResolverCdnStream::client_of(std::uint32_t r,
-                                             std::uint32_t k) const noexcept {
+PublicResolverCdnStream::Member PublicResolverCdnStream::member_of(
+    std::uint32_t r) const noexcept {
+  // Everything resolver r ever does is a pure function of (seed, r).
+  Member m{Rng::stream(config_.seed, r), 0, 0, 0, 0, 0};
+  // Population and load sampled log-uniformly: the heterogeneity of a
+  // public service's egress fleet (spreads Figure 1 across 1x..16x).
+  const double lo = config_.min_clients_per_resolver;
+  const double hi = config_.max_clients_per_resolver;
+  m.population = static_cast<std::uint32_t>(
+      lo * std::exp(m.rng.uniform_double() * std::log(hi / lo)));
+  m.subnets = std::max(1u, m.population / 4);  // ~4 clients per /24 block
+  m.salt = m.rng.next_u64();
+  // Busier resolvers serve more clients: couple qps to population. Equal
+  // client bounds leave nothing to couple to.
+  const double spread = hi == lo ? 0.0 : (m.population - lo) / (hi - lo);
+  const double qps = config_.min_qps + spread *
+                                           (config_.max_qps - config_.min_qps) *
+                                           (0.5 + m.rng.uniform_double());
+  m.mean_gap_us = 1e6 / qps;
+  m.arrival = m.rng.exponential(m.mean_gap_us);
+  return m;
+}
+
+IpAddress PublicResolverCdnStream::client_in(const Member& m,
+                                             std::uint32_t k) noexcept {
   const std::uint64_t key = static_cast<std::uint64_t>(k) << 1;
   const std::uint32_t subnet = static_cast<std::uint32_t>(
-      dnscore::mix64(salt_[r] ^ key) % subnets_[r]) & 0xffffu;
+      dnscore::mix64(m.salt ^ key) % m.subnets) & 0xffffu;
   const std::uint32_t host =
-      1 + static_cast<std::uint32_t>(dnscore::mix64(salt_[r] ^ (key | 1)) % 250);
+      1 + static_cast<std::uint32_t>(dnscore::mix64(m.salt ^ (key | 1)) % 250);
   const std::uint32_t bits = (100u << 24) | ((subnet >> 8) << 16) |
                              ((subnet & 0xff) << 8) | host;
   return IpAddress::v4(bits);
 }
 
+IpAddress PublicResolverCdnStream::client_of(std::uint32_t r,
+                                             std::uint32_t k) const noexcept {
+  return client_in(member_of(r), k);
+}
+
 bool PublicResolverCdnStream::restrict_to_members(std::size_t index,
                                                   std::size_t count) {
   if (started_ || count == 0 || index >= count) return false;
-  if (count == 1) return true;  // shard 0 of 1 is the unrestricted stream
-  netsim::TimerWheel<std::uint32_t> wheel;
-  for (std::uint32_t r = 0; r < population_.size(); ++r) {
-    if (shard_of_id(r, count) != index) continue;
-    if (static_cast<SimTime>(arrival_[r]) < duration_) {
-      wheel.push(static_cast<SimTime>(arrival_[r]), r, r);
-    }
-  }
-  wheel_ = std::move(wheel);
+  shard_index_ = index;
+  shard_count_ = count;
   return true;
 }
 
-bool PublicResolverCdnStream::next(TraceQuery& q) {
+void PublicResolverCdnStream::start() {
   started_ = true;
+  const std::uint32_t resolvers = config_.resolvers;
+  const auto owned = [this](std::uint32_t r) {
+    return shard_of_id(r, shard_count_) == shard_index_;
+  };
+  std::size_t count = 0;
+  for (std::uint32_t r = 0; r < resolvers; ++r) count += owned(r);
+  members_.reserve(count);
+  for (std::uint32_t r = 0; r < resolvers; ++r) {
+    if (!owned(r)) continue;
+    const Member& m = members_.emplace_back(member_of(r));
+    if (static_cast<SimTime>(m.arrival) < config_.duration) {
+      wheel_.push(static_cast<SimTime>(m.arrival), r,
+                  static_cast<std::uint32_t>(members_.size() - 1));
+    }
+  }
+}
+
+bool PublicResolverCdnStream::next(TraceQuery& q) {
+  if (!started_) start();
   netsim::TimerEntry<std::uint32_t> entry;
   if (!wheel_.pop_next(entry)) return false;
-  const std::uint32_t r = entry.payload;
-  Rng& rng = rng_[r];
+  Member& m = members_[entry.payload];
   q.time = entry.when;
-  q.resolver = r;
-  q.client = client_of(r, static_cast<std::uint32_t>(rng.uniform(population_[r])));
-  q.name = static_cast<std::uint32_t>(names_.sample(rng));
+  q.resolver = static_cast<std::uint32_t>(entry.seq);
+  q.client = client_in(m, static_cast<std::uint32_t>(m.rng.uniform(m.population)));
+  q.name = static_cast<std::uint32_t>(names_.sample(m.rng));
   q.scope = scope_of_[q.name];
-  q.ttl_s = ttl_s_;
-  arrival_[r] += rng.exponential(mean_gap_us_[r]);
-  if (static_cast<SimTime>(arrival_[r]) < duration_) {
-    wheel_.push(static_cast<SimTime>(arrival_[r]), r, r);
+  q.ttl_s = config_.ttl_s;
+  m.arrival += m.rng.exponential(m.mean_gap_us);
+  if (static_cast<SimTime>(m.arrival) < config_.duration) {
+    wheel_.push(static_cast<SimTime>(m.arrival), entry.seq, entry.payload);
   }
   return true;
 }
 
 void PublicResolverCdnStream::append_clients(
     std::vector<IpAddress>& out) const {
-  for (std::uint32_t r = 0; r < population_.size(); ++r) {
-    for (std::uint32_t k = 0; k < population_[r]; ++k) {
-      out.push_back(client_of(r, k));
+  for (std::uint32_t r = 0; r < config_.resolvers; ++r) {
+    const Member m = member_of(r);
+    for (std::uint32_t k = 0; k < m.population; ++k) {
+      out.push_back(client_in(m, k));
     }
   }
 }

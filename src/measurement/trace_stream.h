@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "dnscore/hashing.h"
@@ -75,8 +76,8 @@ class TraceStream {
 };
 
 // Builds fresh, independent instances of one logical stream. Invoked once
-// per shard (plus once for the dispatch probe); each instance replays the
-// same deterministic sequence.
+// per shard (plus once for the dispatch, which reads only info()); each
+// instance replays the same deterministic sequence.
 using TraceStreamFactory = std::function<std::unique_ptr<TraceStream>()>;
 
 // Precomputes the info block for a materialized trace (one O(n) scan; do it
@@ -130,10 +131,15 @@ class MaterializedTraceStream final : public TraceStream {
 // generator (one shared RNG, generate-all-then-sort), every resolver draws
 // from its own Rng::stream(seed, r), so resolver r's traffic is a pure
 // function of (seed, r) and the merged stream is produced in time order by
-// a timer wheel holding one pending arrival per resolver. Per-resolver
-// state is SoA (~64 bytes/resolver), and client addresses are derived on
-// the fly from a per-resolver salt instead of being stored — that is what
-// lets a million-member fleet stream in a bounded-RSS process.
+// a timer wheel holding one pending arrival per resolver. Client addresses
+// are derived on the fly from a per-resolver salt instead of being stored
+// — that is what lets a million-member fleet stream in a bounded-RSS
+// process.
+//
+// Construction is cheap: it keeps the config, the per-hostname scope table
+// and the Zipf sampler. Per-resolver state is built by the first next(),
+// and only for the resolvers the stream emits (all of them, or the members
+// restrict_to_members() selected), as one 64-byte Member record each.
 //
 // Note: addresses are hash-derived (100.x.y.z from mix64), so unlike the
 // old generator's global dedup set, distinct (resolver, k) pairs may rarely
@@ -141,38 +147,56 @@ class MaterializedTraceStream final : public TraceStream {
 // only (negligibly) reduces distinct-client counts.
 class PublicResolverCdnStream final : public TraceStream {
  public:
+  // Throws std::invalid_argument unless 0 < min_clients_per_resolver <=
+  // max_clients_per_resolver, 0 < min_qps <= max_qps and hostnames > 0.
   explicit PublicResolverCdnStream(const PublicResolverCdnConfig& config);
 
   const TraceStreamInfo& info() const noexcept override { return info_; }
   bool next(TraceQuery& out) override;
   void append_clients(std::vector<IpAddress>& out) const override;
 
-  // Rebuilds the timer wheel with only the owned resolvers' pending
-  // arrivals. Safe because the wheel pops in (when, seq = resolver id)
-  // order — dropping foreign resolvers cannot reorder the survivors — and
-  // resolver r's draws come from its own Rng::stream(seed, r), untouched
-  // by the restriction. The SoA vectors stay full-width (dense id
-  // indexing); only the wheel shrinks.
+  // Records (index, count); the first next() then builds only the owned
+  // resolvers' state. Exact because the wheel pops in (when, seq =
+  // resolver id) order — leaving foreign resolvers out cannot reorder the
+  // survivors — and resolver r's draws come from its own
+  // Rng::stream(seed, r), untouched by the restriction.
   bool restrict_to_members(std::size_t index, std::size_t count) override;
 
-  // The client address of slot k in resolver r's population (pure).
+  // The client address of slot k in resolver r's population (pure; any r
+  // of the fleet, owned or not).
   IpAddress client_of(std::uint32_t r, std::uint32_t k) const noexcept;
 
  private:
+  // One resolver's generator state in a cache line's 64 bytes, no
+  // embedded containers; next() reads all of it. The resolver id is not
+  // stored; the wheel carries it.
+  struct Member {
+    netsim::Rng rng;
+    double arrival;  // exact (double) next arrival time, us
+    double mean_gap_us;
+    std::uint64_t salt;
+    std::uint32_t population;
+    std::uint32_t subnets;
+  };
+  static_assert(sizeof(Member) == 64, "a Member fills one cache line");
+  static_assert(std::is_trivially_copyable_v<Member>);
+
+  // Resolver r's state before its first query: a pure function of
+  // (config, r).
+  Member member_of(std::uint32_t r) const noexcept;
+  static IpAddress client_in(const Member& m, std::uint32_t k) noexcept;
+  void start();
+
+  PublicResolverCdnConfig config_;
   TraceStreamInfo info_;
-  SimTime duration_;
-  bool started_ = false;
-  std::uint32_t ttl_s_;
-  std::vector<int> scope_of_;       // per hostname
+  std::vector<int> scope_of_;  // per hostname
   netsim::ZipfSampler names_;
-  // SoA per-resolver state, indexed by the dense resolver id.
-  std::vector<netsim::Rng> rng_;
-  std::vector<double> arrival_;     // exact (double) next arrival time
-  std::vector<double> mean_gap_us_;
-  std::vector<std::uint32_t> population_;
-  std::vector<std::uint32_t> subnets_;
-  std::vector<std::uint64_t> salt_;
-  // One pending arrival per live resolver; (time, resolver) pop order.
+  std::size_t shard_index_ = 0;
+  std::size_t shard_count_ = 1;
+  bool started_ = false;
+  std::vector<Member> members_;  // owned members, by dense local index
+  // One pending arrival per live member: (when, seq = resolver id,
+  // payload = local index), so pops run in (time, resolver) order.
   netsim::TimerWheel<std::uint32_t> wheel_;
 };
 

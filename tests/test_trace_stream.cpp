@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "measurement/cache_sim.h"
@@ -126,6 +127,187 @@ TEST(TraceStream, ClientOfIsPureAndMatchesEmittedClients) {
       EXPECT_EQ(a.client_of(r, k), b.client_of(r, k));
     }
   }
+}
+
+// FNV-1a over fixed-width little-endian integers.
+class Fnv1a {
+ public:
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= static_cast<std::uint8_t>(v >> (8 * i));
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void address(const dnscore::IpAddress& a) {
+    u64(static_cast<std::uint64_t>(a.family()));
+    for (const std::uint8_t b : a.bytes()) u64(b);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+TEST(TraceStream, CdnSequenceIsPinned) {
+  // The sharded-vs-serial oracles compare a generator with itself, so they
+  // cannot see a changed trace. This pins every field of every query, and
+  // the client universe, of a fixed fleet.
+  PublicResolverCdnConfig config;
+  config.resolvers = 2000;
+  config.min_clients_per_resolver = 4;
+  config.max_clients_per_resolver = 64;
+  config.min_qps = 0.5;
+  config.max_qps = 5.0;
+  config.hostnames = 500;
+  config.duration = 20 * netsim::kSecond;
+  config.seed = 4242;
+  PublicResolverCdnStream stream(config);
+  Fnv1a queries;
+  std::uint64_t count = 0;
+  TraceQuery q;
+  while (stream.next(q)) {
+    queries.u64(static_cast<std::uint64_t>(q.time));
+    queries.u64(q.resolver);
+    queries.address(q.client);
+    queries.u64(q.name);
+    queries.u64(static_cast<std::uint64_t>(q.scope));
+    queries.u64(q.ttl_s);
+    ++count;
+  }
+  std::vector<dnscore::IpAddress> clients;
+  stream.append_clients(clients);
+  Fnv1a universe;
+  for (const auto& a : clients) universe.address(a);
+  EXPECT_EQ(count, 73009u);
+  EXPECT_EQ(queries.value(), 5613745284906148304ull);
+  EXPECT_EQ(clients.size(), 43732u);
+  EXPECT_EQ(universe.value(), 14597260820750179477ull);
+}
+
+std::vector<TraceQuery> pull_all(TraceStream& stream) {
+  std::vector<TraceQuery> out;
+  TraceQuery q;
+  while (stream.next(q)) out.push_back(q);
+  return out;
+}
+
+TEST(TraceStream, RestrictedShardsPartitionTheStream) {
+  const auto config = small_cdn();
+  PublicResolverCdnStream whole(config);
+  const std::vector<TraceQuery> expect = pull_all(whole);
+  constexpr std::size_t kShards = 4;
+  std::vector<std::vector<TraceQuery>> parts;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    PublicResolverCdnStream part(config);
+    ASSERT_TRUE(part.restrict_to_members(s, kShards));
+    parts.push_back(pull_all(part));
+    EXPECT_FALSE(parts.back().empty()) << "shard " << s;
+    for (const auto& q : parts.back()) {
+      EXPECT_EQ(shard_of_id(q.resolver, kShards), s);
+    }
+  }
+  // Merge the shards by (time, resolver): the unrestricted sequence.
+  std::vector<std::size_t> cursor(kShards, 0);
+  std::size_t i = 0;
+  for (;; ++i) {
+    std::size_t best = kShards;
+    for (std::size_t s = 0; s < kShards; ++s) {
+      if (cursor[s] == parts[s].size()) continue;
+      const TraceQuery& q = parts[s][cursor[s]];
+      if (best == kShards) {
+        best = s;
+        continue;
+      }
+      const TraceQuery& b = parts[best][cursor[best]];
+      if (q.time < b.time || (q.time == b.time && q.resolver < b.resolver)) best = s;
+    }
+    if (best == kShards) break;
+    ASSERT_LT(i, expect.size());
+    expect_same_query(parts[best][cursor[best]++], expect[i]);
+  }
+  EXPECT_EQ(i, expect.size());
+}
+
+TEST(TraceStream, RestrictAfterFirstNextIsRefusedAndLeavesTheStreamWhole) {
+  const auto config = small_cdn();
+  PublicResolverCdnStream whole(config);
+  const std::vector<TraceQuery> expect = pull_all(whole);
+  PublicResolverCdnStream late(config);
+  TraceQuery q;
+  ASSERT_TRUE(late.next(q));
+  EXPECT_FALSE(late.restrict_to_members(1, 4));
+  std::vector<TraceQuery> got{q};
+  while (late.next(q)) got.push_back(q);
+  ASSERT_EQ(got.size(), expect.size());
+  for (std::size_t i = 0; i < got.size(); ++i) expect_same_query(got[i], expect[i]);
+}
+
+TEST(TraceStream, AppendClientsReportsTheFullUniverseWhenRestricted) {
+  const auto config = small_cdn();
+  PublicResolverCdnStream whole(config);
+  std::vector<dnscore::IpAddress> expect;
+  whole.append_clients(expect);
+  PublicResolverCdnStream part(config);
+  ASSERT_TRUE(part.restrict_to_members(2, 4));
+  TraceQuery q;
+  ASSERT_TRUE(part.next(q));
+  std::vector<dnscore::IpAddress> got;
+  part.append_clients(got);
+  EXPECT_EQ(got, expect);
+  EXPECT_EQ(part.client_of(1, 3), whole.client_of(1, 3));
+}
+
+TEST(TraceStream, EqualClientBoundsGiveAFiniteOrderedStream) {
+  PublicResolverCdnConfig config;
+  config.resolvers = 4;
+  config.min_clients_per_resolver = 50;
+  config.max_clients_per_resolver = 50;
+  config.duration = 2 * netsim::kSecond;
+  // Four resolvers at most max_qps each for 2 s: far below the cap.
+  constexpr std::uint64_t kCap = 100000;
+  PublicResolverCdnStream stream(config);
+  TraceQuery q;
+  SimTime prev = 0;
+  std::uint64_t count = 0;
+  while (count < kCap && stream.next(q)) {
+    ASSERT_GE(q.time, prev);
+    ASSERT_LT(q.time, config.duration);
+    prev = q.time;
+    ++count;
+  }
+  EXPECT_LT(count, kCap);
+  EXPECT_GT(count, 0u);
+}
+
+TEST(TraceStream, InvalidCdnConfigThrows) {
+  const auto with = [](auto edit) {
+    PublicResolverCdnConfig config = small_cdn();
+    edit(config);
+    return config;
+  };
+  using C = PublicResolverCdnConfig;
+  EXPECT_THROW(PublicResolverCdnStream{with([](C& c) { c.min_clients_per_resolver = 0; })},
+               std::invalid_argument);
+  EXPECT_THROW(PublicResolverCdnStream{with([](C& c) {
+                 c.min_clients_per_resolver = 10;
+                 c.max_clients_per_resolver = 9;
+               })},
+               std::invalid_argument);
+  EXPECT_THROW(PublicResolverCdnStream{with([](C& c) { c.min_qps = 0; })},
+               std::invalid_argument);
+  EXPECT_THROW(PublicResolverCdnStream{with([](C& c) { c.min_qps = -1; })},
+               std::invalid_argument);
+  EXPECT_THROW(PublicResolverCdnStream{with([](C& c) {
+                 c.min_qps = 10;
+                 c.max_qps = 5;
+               })},
+               std::invalid_argument);
+  EXPECT_THROW(PublicResolverCdnStream{with([](C& c) { c.hostnames = 0; })},
+               std::invalid_argument);
+  EXPECT_NO_THROW(PublicResolverCdnStream{with([](C& c) {
+    c.min_qps = c.max_qps = 7;
+    c.min_clients_per_resolver = c.max_clients_per_resolver = 9;
+  })});
 }
 
 // ---------------------------------------------------------------------------
