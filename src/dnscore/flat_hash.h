@@ -140,30 +140,17 @@ class FlatHashMap {
   // displaced successor whose home position cannot reach it through the new
   // hole (Knuth 6.4 Algorithm R). The table is exactly as if the key had
   // never been inserted, so probe lengths never grow with churn.
-  bool erase(const Key& key) {
-    std::size_t i = find_index(key);
-    if (i == kNotFound) return false;
-    slots_[i].~Slot();
-    hashes_[i] = kEmpty;
-    --size_;
-    std::size_t j = i;
-    for (;;) {
-      j = (j + 1) & mask();
-      if (hashes_[j] == kEmpty) break;
-      const std::size_t home = static_cast<std::size_t>(hashes_[j]) & mask();
-      // Leave slot j alone iff its home lies cyclically within (i, j]: the
-      // element is still reachable from home without crossing the hole.
-      const bool reachable =
-          i < j ? (home > i && home <= j) : (home > i || home <= j);
-      if (!reachable) {
-        new (&slots_[i]) Slot(std::move(slots_[j]));
-        hashes_[i] = hashes_[j];
-        slots_[j].~Slot();
-        hashes_[j] = kEmpty;
-        i = j;
-      }
-    }
-    return true;
+  bool erase(const Key& key) { return erase_at(find_index(key)); }
+
+  // Erases the first entry, in probe order, whose stored hash equals
+  // `raw_hash` and for which `pred(key, value)` holds; false if none does.
+  // Lets a caller that kept only an entry's hash (never its key) remove it
+  // by some other property of the entry, e.g. the cache replay's expiry.
+  template <class Pred>
+  bool erase_with(std::uint64_t raw_hash, Pred&& pred) {
+    return erase_at(probe(raw_hash, [&pred](const Slot& slot) {
+      return pred(slot.key, slot.value);
+    }));
   }
 
   // Applies `fn(slot)` to every live entry. The callback may mutate the
@@ -215,14 +202,46 @@ class FlatHashMap {
 
   template <class Eq>
   std::size_t find_index_with(std::uint64_t raw_hash, Eq&& eq) const noexcept {
+    return probe(raw_hash, [&eq](const Slot& slot) { return eq(slot.key); });
+  }
+
+  // Index of the first slot, in probe order from `raw_hash`'s home, whose
+  // stored hash matches and for which `match(slot)` holds.
+  template <class Match>
+  std::size_t probe(std::uint64_t raw_hash, Match&& match) const noexcept {
     if (capacity_ == 0) return kNotFound;
     const std::uint64_t h = remap_zero(raw_hash);
     std::size_t i = static_cast<std::size_t>(h) & mask();
     for (;;) {
       if (hashes_[i] == kEmpty) return kNotFound;
-      if (hashes_[i] == h && eq(slots_[i].key)) return i;
+      if (hashes_[i] == h && match(slots_[i])) return i;
       i = (i + 1) & mask();
     }
+  }
+
+  bool erase_at(std::size_t i) {
+    if (i == kNotFound) return false;
+    slots_[i].~Slot();
+    hashes_[i] = kEmpty;
+    --size_;
+    std::size_t j = i;
+    for (;;) {
+      j = (j + 1) & mask();
+      if (hashes_[j] == kEmpty) break;
+      const std::size_t home = static_cast<std::size_t>(hashes_[j]) & mask();
+      // Leave slot j alone iff its home lies cyclically within (i, j]: the
+      // element is still reachable from home without crossing the hole.
+      const bool reachable =
+          i < j ? (home > i && home <= j) : (home > i || home <= j);
+      if (!reachable) {
+        new (&slots_[i]) Slot(std::move(slots_[j]));
+        hashes_[i] = hashes_[j];
+        slots_[j].~Slot();
+        hashes_[j] = kEmpty;
+        i = j;
+      }
+    }
+    return true;
   }
 
   void grow_if_needed() {

@@ -37,7 +37,6 @@ double CacheSimResult::overall_hit_rate() const {
 
 namespace {
 
-constexpr std::uint32_t kNoCache = 0xffffffffu;
 constexpr SimTime kFree = std::numeric_limits<SimTime>::min();
 
 // Heap order: the earliest expiry on top.
@@ -64,6 +63,16 @@ bool pop_due(std::vector<Record>& heap, SimTime now, Record& out) {
   return true;
 }
 
+// One all-zero row per resolver id, each carrying its id.
+CacheSimResult zero_rows(std::size_t resolvers) {
+  CacheSimResult out;
+  out.per_resolver.resize(resolvers);
+  for (std::size_t r = 0; r < resolvers; ++r) {
+    out.per_resolver[r].resolver = static_cast<std::uint32_t>(r);
+  }
+  return out;
+}
+
 }  // namespace
 
 StreamingCacheSim::StreamingCacheSim(std::uint32_t resolvers,
@@ -73,36 +82,55 @@ StreamingCacheSim::StreamingCacheSim(std::uint32_t resolvers,
       ttl_override_(options.ttl_override),
       bound_(options.max_entries_per_resolver),
       policy_(options.policy),
-      results_(resolvers),
-      live_(resolvers, 0) {
-  for (std::uint32_t r = 0; r < resolvers; ++r) results_[r].resolver = r;
+      row_index_(resolvers, kNone) {
   if (bound_) {
     evictions_ = &metrics.counter("cache_sim.capacity_evictions");
     eviction_ages_ = &metrics.histogram("cache_sim.eviction_age_s");
-    cache_index_.assign(resolvers, kNoCache);
   }
 }
 
-StreamingCacheSim::ResolverCache& StreamingCacheSim::cache_of(std::uint32_t resolver) {
-  std::uint32_t& index = cache_index_[resolver];
-  if (index == kNoCache) {
-    index = static_cast<std::uint32_t>(caches_.size());
+StreamingCacheSim::Row& StreamingCacheSim::row_of(std::uint32_t resolver) {
+  std::uint32_t& index = row_index_.at(resolver);
+  if (index == kNone) {
+    index = static_cast<std::uint32_t>(rows_.size());
+    rows_.emplace_back().result.resolver = resolver;
+  }
+  return rows_[index];
+}
+
+StreamingCacheSim::ResolverCache& StreamingCacheSim::cache_of(Row& row) {
+  if (row.cache == kNone) {
+    row.cache = static_cast<std::uint32_t>(caches_.size());
     caches_.emplace_back(policy_);
   }
-  return caches_[index];
+  return caches_[row.cache];
 }
 
 void StreamingCacheSim::retire_expired(SimTime now) {
   KeyExpiry due{};
   while (pop_due(key_expiries_, now, due)) {
-    table_.erase(due.key);
-    --live_[due.key.resolver];
+    // Exact without the key: an unbounded entry leaves only by expiry, so
+    // every live entry has exactly one pending record, carrying its own
+    // (hash, expiry), and every record belongs to a live entry. A due
+    // record therefore always finds an entry matching both, and erasing any
+    // such entry keeps that pairing one to one, even when two keys share a
+    // 64-bit hash. After the sweep the live set is exactly the entries
+    // expiring after `now`.
+    std::uint32_t resolver = 0;
+    const bool erased =
+        table_.erase_with(due.hash, [&](const CacheKey& key, SimTime expiry) {
+          if (expiry != due.when) return false;
+          resolver = key.resolver;
+          return true;
+        });
+    ECSDNS_DCHECK(erased);
+    --observed_row(resolver).live;
   }
   SlotExpiry slot_due{};
   while (pop_due(slot_expiries_, now, slot_due)) {
     // An evicted entry's record is stale: its slot is free, or holds an
     // entry with another expiry (one with the same expiry is due anyway).
-    ResolverCache& cache = caches_[cache_index_[slot_due.resolver]];
+    ResolverCache& cache = caches_[observed_row(slot_due.resolver).cache];
     if (cache.slab[slot_due.slot].expiry == slot_due.when) {
       release(cache, slot_due.slot);
     }
@@ -113,42 +141,43 @@ void StreamingCacheSim::observe(const TraceQuery& q) {
   ++queries_;
   retire_expired(q.time);
 
-  ResolverCacheResult& row = results_.at(q.resolver);
+  Row& row = row_of(q.resolver);
   const CacheKey key = cache_key_of(q, with_ecs_);
-  if (const Slot* slot = table_.find(key)) {
-    ++row.hits;
-    if (bound_) caches_[cache_index_[q.resolver]].order.on_hit(*slot);
+  const std::uint64_t hash = detail::CacheKeyHash{}(key);
+  if (const SimTime* stamp =
+          table_.find_with(hash, [&key](const CacheKey& k) { return k == key; })) {
+    ++row.result.hits;
+    if (bound_) caches_[row.cache].order.on_hit(static_cast<Slot>(*stamp));
     return;
   }
-  ++row.misses;
+  ++row.result.misses;
   const std::uint32_t ttl_s = ttl_override_.value_or(q.ttl_s);
   // TTL-0 answers are used once and never cached (RFC 1035), mirroring
   // EcsCache::insert.
   if (ttl_s == 0) return;
   const SimTime expiry = q.time + static_cast<SimTime>(ttl_s) * netsim::kSecond;
-  std::uint32_t& live = live_[q.resolver];
-  Slot slot = 0;
   if (bound_) {
-    ResolverCache& cache = cache_of(q.resolver);
+    ResolverCache& cache = cache_of(row);
     // Make room BEFORE inserting, so the bound is never exceeded — not even
     // transiently — and the incoming entry is not a victim candidate.
-    while (live >= *bound_ && live > 0) evict_one(cache, row, q.time);
-    slot = cache.order.on_insert(key.block.length());
+    while (row.live >= *bound_ && row.live > 0) evict_one(cache, row.result, q.time);
+    const Slot slot = cache.order.on_insert(key.block.length());
     if (slot >= cache.slab.size()) cache.slab.resize(std::size_t{slot} + 1);
     cache.slab[slot] = Entry{key, q.time, expiry};
     push_expiry(slot_expiries_, SlotExpiry{expiry, q.resolver, slot});
+    table_.insert_or_assign(key, static_cast<SimTime>(slot));
   } else {
-    push_expiry(key_expiries_, KeyExpiry{expiry, key});
+    push_expiry(key_expiries_, KeyExpiry{expiry, hash});
+    table_.insert_or_assign(key, expiry);
   }
-  table_.insert_or_assign(key, slot);
-  ++live;
-  row.max_cache_size = std::max<std::size_t>(row.max_cache_size, live);
+  ++row.live;
+  row.result.max_cache_size = std::max<std::size_t>(row.result.max_cache_size, row.live);
 }
 
 void StreamingCacheSim::release(ResolverCache& cache, Slot slot) {
   Entry& entry = cache.slab[slot];
   table_.erase(entry.key);
-  --live_[entry.key.resolver];
+  --observed_row(entry.key.resolver).live;
   entry.expiry = kFree;
   cache.order.on_erase(slot);
 }
@@ -165,9 +194,13 @@ void StreamingCacheSim::evict_one(ResolverCache& cache, ResolverCacheResult& row
 }
 
 CacheSimResult StreamingCacheSim::finish() {
-  CacheSimResult out;
-  out.per_resolver = std::move(results_);
+  CacheSimResult out = zero_rows(row_index_.size());
+  finish_into(out);
   return out;
+}
+
+void StreamingCacheSim::finish_into(CacheSimResult& out) {
+  for (const Row& row : rows_) out.per_resolver[row.result.resolver] = row.result;
 }
 
 // ---------------------------------------------------------------------------
@@ -180,9 +213,10 @@ CacheSimResult StreamingCacheSim::finish() {
 // entries of its resolvers that the serial sweep would have retired before
 // each of their queries, so every row equals the serial fold's row at any
 // shard count. A stream that is not time-ordered replays on one shard, and
-// so does a single-resolver trace (All-Names). A shard's rows of foreign
-// resolvers stay all-zero, so the merge is a field-wise sum (max for the
-// peak).
+// so does a single-resolver trace (All-Names). A shard reserves rows for
+// exactly the resolvers it owns and, after its replay, writes them into
+// the one merged result; shards own disjoint resolvers, so no two write
+// the same row and there is nothing left to merge.
 
 CacheSimResult simulate_cache_stream(const TraceStreamFactory& factory,
                                      const CacheSimOptions& options) {
@@ -193,7 +227,7 @@ CacheSimResult simulate_cache_stream(const TraceStreamFactory& factory,
           ? std::clamp<std::size_t>(options.shards, 1, std::max(info.resolvers, 1u))
           : 1;
 
-  std::vector<CacheSimResult> parts(shards);
+  CacheSimResult out = zero_rows(info.resolvers);
   netsim::RunnerConfig runner;
   runner.threads = options.threads;
   runner.runtime_metrics = options.runtime_metrics;
@@ -203,31 +237,21 @@ CacheSimResult simulate_cache_stream(const TraceStreamFactory& factory,
         std::unique_ptr<TraceStream> stream = factory();
         ECSDNS_CHECK(shards == 1 || stream->restrict_to_members(s, shards));
         StreamingCacheSim sim(info.resolvers, options, metrics);
+        sim.reserve_rows(owned_id_count(info.resolvers, s, shards));
         TraceQuery q;
         while (stream->next(q)) sim.observe(q);
-        parts[s] = sim.finish();
+        sim.finish_into(out);
         metrics.counter("cache_sim.queries").inc(sim.queries());
-        metrics.counter("cache_sim.hits").inc(parts[s].total_hits());
-        metrics.counter("cache_sim.misses").inc(parts[s].total_misses());
       });
 
-  CacheSimResult out = std::move(parts[0]);
-  for (std::size_t s = 1; s < shards; ++s) {
-    for (std::size_t r = 0; r < out.per_resolver.size(); ++r) {
-      ResolverCacheResult& row = out.per_resolver[r];
-      const ResolverCacheResult& part = parts[s].per_resolver[r];
-      row.hits += part.hits;
-      row.misses += part.misses;
-      row.premature_evictions += part.premature_evictions;
-      row.max_cache_size = std::max(row.max_cache_size, part.max_cache_size);
-    }
-  }
+  obs::MetricsRegistry& global = obs::MetricsRegistry::global();
+  global.counter("cache_sim.hits").inc(out.total_hits());
+  global.counter("cache_sim.misses").inc(out.total_misses());
   std::uint64_t peak = 0;
   for (const auto& r : out.per_resolver) {
     peak = std::max<std::uint64_t>(peak, r.max_cache_size);
   }
-  obs::MetricsRegistry::global().gauge("cache_sim.peak_entries").set(
-      static_cast<std::int64_t>(peak));
+  global.gauge("cache_sim.peak_entries").set(static_cast<std::int64_t>(peak));
   return out;
 }
 

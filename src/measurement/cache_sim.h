@@ -116,12 +116,15 @@ struct CacheSimResult {
 // pipelines (the scale_streaming bench, custom aggregations) can
 // interleave generation and simulation without a trace in memory.
 //
-// One key table and one expiry heap serve every resolver of the instance;
-// per resolver there is only the result row and the live-entry count.
-// Before each query, every entry that expired by then is retired, so a key
-// still in the table is live: a hit. A miss caches the answer for exactly
-// its TTL; a TTL-0 answer is used once and never cached (RFC 1035,
-// mirroring EcsCache::insert).
+// One key table and one expiry heap serve every resolver of the instance.
+// Per resolver it has observed, the instance keeps one dense row (the
+// result row, the live-entry count and, bounded, the resolver's cache
+// index), found through a 4-byte id -> row map; a shard of a sharded replay
+// therefore holds rows only for the resolvers it replays. Before each
+// query, every entry that expired by then is retired, so a key still in the
+// table is live: a hit. A miss caches the answer for exactly its TTL; a
+// TTL-0 answer is used once and never cached (RFC 1035, mirroring
+// EcsCache::insert).
 //
 // With `options.max_entries_per_resolver` set, every resolver's cache
 // holds at most that many entries, and an insert into a full cache first
@@ -129,8 +132,8 @@ struct CacheSimResult {
 // Bounded mode adds, per resolver that ever inserts, a
 // resolver::SlotEviction victim order and an entry slab indexed by its
 // dense slots, so once a cache has reached its bound observe() allocates
-// nothing for it. Memory is O(live cache entries + resolvers), independent
-// of how many queries flow through.
+// nothing for it. Memory is O(live cache entries + resolvers observed),
+// independent of how many queries flow through.
 class StreamingCacheSim {
  public:
   // Capacity evictions count into `metrics` (cache_sim.capacity_evictions,
@@ -139,23 +142,33 @@ class StreamingCacheSim {
   StreamingCacheSim(std::uint32_t resolvers, const CacheSimOptions& options,
                     obs::MetricsRegistry& metrics = obs::MetricsRegistry::global());
 
+  // Reserves rows for `resolvers` distinct resolvers, so observing that
+  // many allocates no row storage beyond this call.
+  void reserve_rows(std::size_t resolvers) { rows_.reserve(resolvers); }
+
   void observe(const TraceQuery& q);
-  // Per-resolver rows; resolvers never observed keep all-zero rows. Moves
-  // the results out; the instance is spent afterwards.
+  // Per-resolver rows, one per resolver id; resolvers never observed keep
+  // all-zero rows. The instance is spent afterwards.
   CacheSimResult finish();
+  // Writes the row of every observed resolver into
+  // `out.per_resolver[resolver]`, which must hold a row per resolver id, and
+  // touches no other row; instances that observed disjoint resolvers may
+  // write into one result concurrently. The instance is spent afterwards.
+  void finish_into(CacheSimResult& out);
 
   std::uint64_t queries() const noexcept { return queries_; }
   std::size_t live_entries() const noexcept { return table_.size(); }
 
  private:
   using Slot = resolver::SlotEviction::Slot;
-  // Pending expiries. Unbounded entries leave only by expiry, so their
-  // records name the key outright. Bounded records name the entry's slab
-  // slot instead — 16 bytes, not 40 — because an evicted entry leaves its
-  // record behind, and that heap outgrows the live set.
+  // Pending expiries. An unbounded entry leaves only by expiry, so its
+  // record holds just the expiry and its key's hash — 16 bytes, not a
+  // 40-byte key copy — and retire_expired erases the entry both match.
+  // Bounded records name the entry's slab slot instead, because an evicted
+  // entry leaves its record behind, and that heap outgrows the live set.
   struct KeyExpiry {
     SimTime when;
-    detail::CacheKey key;
+    std::uint64_t hash;  // detail::CacheKeyHash of the entry's key
   };
   struct SlotExpiry {
     SimTime when;
@@ -173,9 +186,18 @@ class StreamingCacheSim {
     resolver::SlotEviction order;
     std::vector<Entry> slab;  // indexed by the order's slots
   };
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+  // One observed resolver.
+  struct Row {
+    ResolverCacheResult result;
+    std::uint32_t live = 0;
+    std::uint32_t cache = kNone;  // caches_ index (bounded mode)
+  };
 
+  Row& row_of(std::uint32_t resolver);
+  Row& observed_row(std::uint32_t resolver) { return rows_[row_index_[resolver]]; }
   void retire_expired(SimTime now);
-  ResolverCache& cache_of(std::uint32_t resolver);
+  ResolverCache& cache_of(Row& row);
   ECSDNS_NOALLOC void release(ResolverCache& cache, Slot slot);
   ECSDNS_NOALLOC void evict_one(ResolverCache& cache, ResolverCacheResult& row,
                                 SimTime now);
@@ -186,15 +208,14 @@ class StreamingCacheSim {
   resolver::EvictionPolicy policy_;
   obs::Counter* evictions_ = nullptr;
   obs::Histogram* eviction_ages_ = nullptr;
-  // Live entries; the value is the entry's slot in its resolver's slab
-  // (bounded mode; unused otherwise).
-  dnscore::FlatHashMap<detail::CacheKey, Slot, detail::CacheKeyHash> table_;
+  // Live entries. The value is the entry's expiry (unbounded mode) or its
+  // slot in its resolver's slab (bounded mode).
+  dnscore::FlatHashMap<detail::CacheKey, SimTime, detail::CacheKeyHash> table_;
   // Min-heaps on `when`; each mode uses one.
   std::vector<KeyExpiry> key_expiries_;
   std::vector<SlotExpiry> slot_expiries_;
-  std::vector<ResolverCacheResult> results_;
-  std::vector<std::uint32_t> live_;         // per resolver
-  std::vector<std::uint32_t> cache_index_;  // resolver -> caches_ index
+  std::vector<std::uint32_t> row_index_;  // resolver id -> rows_ index, or kNone
+  std::vector<Row> rows_;                 // in order of first observation
   std::vector<ResolverCache> caches_;
   std::uint64_t queries_ = 0;
 };

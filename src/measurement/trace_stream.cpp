@@ -151,14 +151,9 @@ bool PublicResolverCdnStream::restrict_to_members(std::size_t index,
 void PublicResolverCdnStream::start() {
   started_ = true;
   const std::uint32_t resolvers = config_.resolvers;
-  const auto owned = [this](std::uint32_t r) {
-    return shard_of_id(r, shard_count_) == shard_index_;
-  };
-  std::size_t count = 0;
-  for (std::uint32_t r = 0; r < resolvers; ++r) count += owned(r);
-  members_.reserve(count);
+  members_.reserve(owned_id_count(resolvers, shard_index_, shard_count_));
   for (std::uint32_t r = 0; r < resolvers; ++r) {
-    if (!owned(r)) continue;
+    if (shard_of_id(r, shard_count_) != shard_index_) continue;
     const Member& m = members_.emplace_back(member_of(r));
     if (static_cast<SimTime>(m.arrival) < config_.duration) {
       wheel_.push(static_cast<SimTime>(m.arrival), r,

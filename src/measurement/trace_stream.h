@@ -37,6 +37,16 @@ inline std::size_t shard_of_id(std::uint64_t id, std::size_t shards) noexcept {
   return shards <= 1 ? 0 : static_cast<std::size_t>(dnscore::mix64(id) % shards);
 }
 
+// How many of the ids [0, ids) shard `index` of `shards` owns: what a shard
+// reserves before building per-resolver state for exactly those ids.
+inline std::size_t owned_id_count(std::uint32_t ids, std::size_t index,
+                                  std::size_t shards) noexcept {
+  if (shards <= 1) return ids;
+  std::size_t count = 0;
+  for (std::uint32_t id = 0; id < ids; ++id) count += shard_of_id(id, shards) == index;
+  return count;
+}
+
 struct TraceStreamInfo {
   std::uint32_t hostnames = 0;
   std::uint32_t resolvers = 1;

@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "measurement/cache_sim.h"
@@ -258,6 +260,10 @@ INSTANTIATE_TEST_SUITE_P(
 // Replay differential: the slab/heap/slot-indexed replay against a naive
 // one that keeps each resolver's live entries in a vector, expires them by
 // scanning, and (when bounded) asks ReferenceStrategy for every victim.
+// Before each query the naive replay expires the entries of every resolver
+// queried so far, as the replay's one fleet-wide expiry sweep does; on a
+// time-ordered trace that equals expiring only the queried resolver's, and
+// on an out-of-order one it is the replay's defined behaviour.
 
 measurement::CacheSimResult naive_replay(const measurement::Trace& trace,
                                          const measurement::CacheSimOptions& options) {
@@ -272,18 +278,27 @@ measurement::CacheSimResult naive_replay(const measurement::Trace& trace,
     std::vector<Live> live;
   };
   std::vector<PerResolver> caches(trace.resolvers, PerResolver(options.policy));
+  std::vector<bool> queried(trace.resolvers, false);
+  std::vector<std::uint32_t> fleet;  // resolvers queried so far
   measurement::CacheSimResult out;
   out.per_resolver.resize(trace.resolvers);
   for (std::uint32_t r = 0; r < trace.resolvers; ++r) out.per_resolver[r].resolver = r;
   EntryId next_id = 1;
   for (const auto& q : trace.queries) {
+    if (!queried[q.resolver]) {
+      queried[q.resolver] = true;
+      fleet.push_back(q.resolver);
+    }
+    for (const std::uint32_t r : fleet) {
+      auto& expiring = caches[r];
+      std::erase_if(expiring.live, [&](const Live& e) {
+        if (e.expiry > q.time) return false;
+        expiring.order.erase(e.id);
+        return true;
+      });
+    }
     auto& cache = caches[q.resolver];
     auto& row = out.per_resolver[q.resolver];
-    std::erase_if(cache.live, [&](const Live& e) {
-      if (e.expiry > q.time) return false;
-      cache.order.erase(e.id);
-      return true;
-    });
     const auto key = measurement::detail::cache_key_of(q, options.with_ecs);
     const auto hit = std::find_if(cache.live.begin(), cache.live.end(),
                                   [&](const Live& e) { return e.key == key; });
@@ -325,6 +340,56 @@ measurement::Trace mixed_ttl_trace() {
   return trace;
 }
 
+// An irregular, sparse trace: five resolvers named by ids spread over a
+// 100,000-wide fleet; TTLs of 1, 5, 20 and 60 s; eight queries per
+// half-second timestamp, so several entries share one expiry and expiries
+// land exactly on query times; and two 25 s stretches out of order.
+measurement::Trace sparse_irregular_trace() {
+  measurement::Trace trace;
+  trace.resolvers = 100000;
+  trace.hostnames = 6;
+  const std::uint32_t resolvers[] = {0, 3, 4242, 65537, 99999};
+  const std::uint32_t ttls[] = {1, 5, 20, 60};
+  const int scopes[] = {0, 16, 20, 24, 24, 32};
+  for (std::uint8_t c = 0; c < 24; ++c) {
+    trace.clients.push_back(IpAddress::v4(100, c % 4, c, 7));
+  }
+  netsim::Rng rng(22);
+  for (int i = 0; i < 6000; ++i) {
+    measurement::TraceQuery q;
+    q.time = (i / 8) * (kSecond / 2);
+    q.resolver = resolvers[rng.uniform(std::size(resolvers))];
+    q.client = rng.pick(trace.clients);
+    q.name = static_cast<std::uint32_t>(rng.uniform(trace.hostnames));
+    q.scope = scopes[q.name];
+    q.ttl_s = ttls[rng.uniform(std::size(ttls))];
+    trace.queries.push_back(q);
+  }
+  // In one 25 s stretch resolver 0's queries arrive after everyone else's:
+  // by then the fleet-wide sweep has passed the stretch's end, so resolver
+  // 0's entries expiring inside it are already gone. A later stretch runs
+  // backwards, inserting entries that expire before queries already seen.
+  const auto late = trace.queries.begin() + 2000;
+  std::stable_partition(late, late + 400,
+                        [](const measurement::TraceQuery& q) { return q.resolver != 0; });
+  std::reverse(trace.queries.begin() + 4000, trace.queries.begin() + 4400);
+  return trace;
+}
+
+// The naive-replay differential's traces: the dense mixed-TTL one, and the
+// sparse irregular one both as generated (not time-ordered, so it replays
+// on one shard whatever the shard count) and sorted by time (sharded).
+std::vector<std::pair<std::string, measurement::Trace>> differential_traces() {
+  measurement::Trace sorted = sparse_irregular_trace();
+  std::stable_sort(sorted.queries.begin(), sorted.queries.end(),
+                   [](const auto& a, const auto& b) { return a.time < b.time; });
+  std::vector<std::pair<std::string, measurement::Trace>> traces;
+  traces.emplace_back("mixed ttl", mixed_ttl_trace());
+  traces.emplace_back("sparse, out of order", sparse_irregular_trace());
+  traces.emplace_back("sparse, sorted", std::move(sorted));
+  return traces;
+}
+
 void expect_same_rows(const measurement::CacheSimResult& got,
                       const measurement::CacheSimResult& want, const std::string& label) {
   ASSERT_EQ(got.per_resolver.size(), want.per_resolver.size()) << label;
@@ -344,34 +409,36 @@ class BoundedReplayDifferential
 
 TEST_P(BoundedReplayDifferential, MatchesNaiveReplay) {
   const auto [policy, bound] = GetParam();
-  const measurement::Trace trace = mixed_ttl_trace();
-  measurement::CacheSimOptions options;
-  options.with_ecs = true;
-  options.max_entries_per_resolver = bound;
-  options.policy = policy;
-  const measurement::CacheSimResult want = naive_replay(trace, options);
-  std::uint64_t evictions = 0;
-  for (const std::size_t shards : {1u, 3u}) {
-    options.shards = shards;
-    const measurement::CacheSimResult got = measurement::simulate_cache(trace, options);
-    expect_same_rows(got, want, std::to_string(shards) + " shard(s)");
-    for (const auto& row : got.per_resolver) evictions += row.premature_evictions;
+  for (const auto& [label, trace] : differential_traces()) {
+    measurement::CacheSimOptions options;
+    options.with_ecs = true;
+    options.max_entries_per_resolver = bound;
+    options.policy = policy;
+    const measurement::CacheSimResult want = naive_replay(trace, options);
+    std::uint64_t evictions = 0;
+    for (const std::size_t shards : {1u, 3u}) {
+      options.shards = shards;
+      const measurement::CacheSimResult got = measurement::simulate_cache(trace, options);
+      expect_same_rows(got, want, label + ", " + std::to_string(shards) + " shard(s)");
+      for (const auto& row : got.per_resolver) evictions += row.premature_evictions;
+    }
+    EXPECT_GT(evictions, 0u) << label << ": the bound never bit; the test is vacuous";
   }
-  EXPECT_GT(evictions, 0u) << "the bound never bit; the test is vacuous";
 }
 
 TEST_P(BoundedReplayDifferential, UnboundedMatchesNaiveReplay) {
-  const measurement::Trace trace = mixed_ttl_trace();
-  for (const bool with_ecs : {true, false}) {
-    measurement::CacheSimOptions options;
-    options.with_ecs = with_ecs;
-    const measurement::CacheSimResult want = naive_replay(trace, options);
-    EXPECT_GT(want.total_hits(), 0u);
-    for (const std::size_t shards : {1u, 3u}) {
-      options.shards = shards;
-      expect_same_rows(measurement::simulate_cache(trace, options), want,
-                       "ecs=" + std::to_string(with_ecs) + ", " +
-                           std::to_string(shards) + " shard(s)");
+  for (const auto& [label, trace] : differential_traces()) {
+    for (const bool with_ecs : {true, false}) {
+      measurement::CacheSimOptions options;
+      options.with_ecs = with_ecs;
+      const measurement::CacheSimResult want = naive_replay(trace, options);
+      EXPECT_GT(want.total_hits(), 0u) << label;
+      for (const std::size_t shards : {1u, 3u}) {
+        options.shards = shards;
+        expect_same_rows(measurement::simulate_cache(trace, options), want,
+                         label + ", ecs=" + std::to_string(with_ecs) + ", " +
+                             std::to_string(shards) + " shard(s)");
+      }
     }
   }
 }

@@ -203,6 +203,48 @@ TEST(FlatHash, FindWithMatchesFind) {
   EXPECT_EQ(*found, 50u);
 }
 
+// erase_with under a constant hash: every key shares one home slot, so the
+// probe order is the insertion order, and the predicate alone picks the
+// entry. It must erase exactly the first match, keep every other key
+// reachable across the backward shift, and report a miss.
+TEST(FlatHash, EraseWithRemovesFirstMatchInProbeOrder) {
+  struct ConstantHash {
+    std::size_t operator()(std::uint64_t) const noexcept { return 42; }
+  };
+  FlatHashMap<std::uint64_t, std::uint64_t, ConstantHash> map;
+  // Values: 10 -> 1, 11 -> 2, 12 -> 1, 13 -> 2, 14 -> 1, 15 -> 2.
+  for (std::uint64_t k = 10; k < 16; ++k) map.insert_or_assign(k, 1 + k % 2);
+
+  std::vector<std::uint64_t> visited;
+  const bool erased = map.erase_with(42, [&](std::uint64_t key, std::uint64_t value) {
+    visited.push_back(key);
+    return value == 2;
+  });
+  EXPECT_TRUE(erased);
+  // The probe stops at the first match: keys 10 (value 1), then 11.
+  EXPECT_EQ(visited, (std::vector<std::uint64_t>{10, 11}));
+  EXPECT_EQ(map.size(), 5u);
+  EXPECT_EQ(map.find(11u), nullptr);
+  for (std::uint64_t k : {10u, 12u, 13u, 14u, 15u}) {
+    ASSERT_NE(map.find(k), nullptr) << "lost " << k;
+    EXPECT_EQ(*map.find(k), 1 + k % 2);
+  }
+
+  // The next match in probe order is 13.
+  EXPECT_TRUE(map.erase_with(
+      42, [](std::uint64_t, std::uint64_t value) { return value == 2; }));
+  EXPECT_EQ(map.find(13u), nullptr);
+  ASSERT_NE(map.find(15u), nullptr);
+  EXPECT_EQ(map.size(), 4u);
+
+  // No match: by predicate, or by hash (another home, an empty slot).
+  EXPECT_FALSE(map.erase_with(
+      42, [](std::uint64_t, std::uint64_t value) { return value == 3; }));
+  EXPECT_FALSE(map.erase_with(7, [](std::uint64_t, std::uint64_t) { return true; }));
+  EXPECT_EQ(map.size(), 4u);
+  for (std::uint64_t k : {10u, 12u, 14u, 15u}) ASSERT_NE(map.find(k), nullptr) << k;
+}
+
 // A hash of exactly 0 must not be mistaken for an empty slot.
 TEST(FlatHash, ZeroHashIsStorable) {
   struct ZeroHash {

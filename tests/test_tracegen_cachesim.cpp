@@ -261,5 +261,39 @@ TEST(CacheSim, EcsReducesHitRate) {
   EXPECT_LT(with.overall_hit_rate(), without.overall_hit_rate());
 }
 
+// A fold keeps rows only for the resolvers it observes, yet its result has
+// one row per resolver id: the unobserved ones all-zero with their id set,
+// whether it comes from one standalone fold or from shards that each write
+// their own rows into the merged result.
+TEST(CacheSim, UnobservedResolversKeepZeroRows) {
+  constexpr std::uint32_t kResolvers = 100000;
+  Trace t;
+  t.resolvers = kResolvers;
+  t.hostnames = 1;
+  const auto client = dnscore::IpAddress::parse("100.0.1.5");
+  t.clients = {client};
+  t.queries.push_back({0, 7, client, 0, 24, 20});
+  t.queries.push_back({1 * netsim::kSecond, 5, client, 0, 24, 20});
+  t.queries.push_back({2 * netsim::kSecond, 99999, client, 0, 24, 20});
+
+  StreamingCacheSim sim(kResolvers, CacheSimOptions{});
+  for (const TraceQuery& q : t.queries) sim.observe(q);
+  const CacheSimResult serial = sim.finish();
+  ASSERT_EQ(serial.per_resolver.size(), kResolvers);
+  for (std::uint32_t r = 0; r < kResolvers; ++r) {
+    const ResolverCacheResult& row = serial.per_resolver[r];
+    ASSERT_EQ(row.resolver, r);
+    const bool observed = r == 5 || r == 7 || r == 99999;
+    ASSERT_EQ(row.misses, observed ? 1u : 0u) << r;
+    ASSERT_EQ(row.max_cache_size, observed ? 1u : 0u) << r;
+    ASSERT_EQ(row.hits, 0u) << r;
+    ASSERT_EQ(row.premature_evictions, 0u) << r;
+  }
+
+  CacheSimOptions sharded;
+  sharded.shards = 4;
+  EXPECT_EQ(result_digest(simulate_cache(t, sharded)), result_digest(serial));
+}
+
 }  // namespace
 }  // namespace ecsdns::measurement
