@@ -119,6 +119,28 @@ class FlatHashMap {
     }
   }
 
+  // Places `key`, which the caller knows is absent, under its precomputed
+  // raw hash: the probe walks to the first empty slot from the key's home
+  // with no key compares, and the key is not hashed again. `raw_hash` must
+  // equal Hash{}(key). Lets a caller whose find_with just missed insert
+  // without a second hash and a second compare-probe. Returns the slot; the
+  // pointer is valid only until the next mutation.
+  template <class V>
+  Slot* insert_absent(std::uint64_t raw_hash, const Key& key, V&& value) {
+    ECSDNS_DCHECK(static_cast<std::uint64_t>(Hash{}(key)) == raw_hash);
+    grow_if_needed();
+    const std::uint64_t h = remap_zero(raw_hash);
+    std::size_t i = static_cast<std::size_t>(h) & mask();
+    while (hashes_[i] != kEmpty) {
+      ECSDNS_DCHECK(hashes_[i] != h || !(slots_[i].key == key));
+      i = (i + 1) & mask();
+    }
+    new (&slots_[i]) Slot{key, Value(std::forward<V>(value))};
+    hashes_[i] = h;
+    ++size_;
+    return &slots_[i];
+  }
+
   // Finds `key`, default-constructing its value first if absent.
   Value& operator[](const Key& key) {
     grow_if_needed();

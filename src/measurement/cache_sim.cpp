@@ -132,7 +132,7 @@ void StreamingCacheSim::retire_expired(SimTime now) {
     // entry with another expiry (one with the same expiry is due anyway).
     ResolverCache& cache = caches_[observed_row(slot_due.resolver).cache];
     if (cache.slab[slot_due.slot].expiry == slot_due.when) {
-      release(cache, slot_due.slot);
+      release(cache, slot_due.resolver, slot_due.slot);
     }
   }
 }
@@ -156,6 +156,8 @@ void StreamingCacheSim::observe(const TraceQuery& q) {
   // EcsCache::insert.
   if (ttl_s == 0) return;
   const SimTime expiry = q.time + static_cast<SimTime>(ttl_s) * netsim::kSecond;
+  // The key is still absent at each insert below: the lookup just missed,
+  // and eviction removes only entries already in the table.
   if (bound_) {
     ResolverCache& cache = cache_of(row);
     // Make room BEFORE inserting, so the bound is never exceeded — not even
@@ -163,21 +165,29 @@ void StreamingCacheSim::observe(const TraceQuery& q) {
     while (row.live >= *bound_ && row.live > 0) evict_one(cache, row.result, q.time);
     const Slot slot = cache.order.on_insert(key.block.length());
     if (slot >= cache.slab.size()) cache.slab.resize(std::size_t{slot} + 1);
-    cache.slab[slot] = Entry{key, q.time, expiry};
+    cache.slab[slot] = Entry{hash, q.time, expiry};
     push_expiry(slot_expiries_, SlotExpiry{expiry, q.resolver, slot});
-    table_.insert_or_assign(key, static_cast<SimTime>(slot));
+    table_.insert_absent(hash, key, static_cast<SimTime>(slot));
   } else {
     push_expiry(key_expiries_, KeyExpiry{expiry, hash});
-    table_.insert_or_assign(key, expiry);
+    table_.insert_absent(hash, key, expiry);
   }
   ++row.live;
   row.result.max_cache_size = std::max<std::size_t>(row.result.max_cache_size, row.live);
 }
 
-void StreamingCacheSim::release(ResolverCache& cache, Slot slot) {
+void StreamingCacheSim::release(ResolverCache& cache, std::uint32_t resolver, Slot slot) {
   Entry& entry = cache.slab[slot];
-  table_.erase(entry.key);
-  --observed_row(entry.key.resolver).live;
+  // Exact without the key: within one resolver, live entries occupy
+  // distinct slab slots, and a bounded entry's table value is its slot, so
+  // (resolver, slot) names exactly one live table entry, and that entry's
+  // stored hash is `entry.hash`.
+  const bool erased =
+      table_.erase_with(entry.hash, [&](const CacheKey& key, SimTime value) {
+        return value == static_cast<SimTime>(slot) && key.resolver == resolver;
+      });
+  ECSDNS_DCHECK(erased);
+  --observed_row(resolver).live;
   entry.expiry = kFree;
   cache.order.on_erase(slot);
 }
@@ -187,10 +197,9 @@ void StreamingCacheSim::evict_one(ResolverCache& cache, ResolverCacheResult& row
   const Slot victim = cache.order.pick_victim();
   const SimTime inserted_at = cache.slab[victim].inserted_at;
   const SimTime age = now > inserted_at ? now - inserted_at : 0;
-  eviction_ages_->observe(static_cast<std::uint64_t>(age / netsim::kSecond));
-  release(cache, victim);
+  ages_.observe(static_cast<std::uint64_t>(age / netsim::kSecond));
+  release(cache, row.resolver, victim);
   ++row.premature_evictions;
-  evictions_->inc();
 }
 
 CacheSimResult StreamingCacheSim::finish() {
@@ -201,6 +210,11 @@ CacheSimResult StreamingCacheSim::finish() {
 
 void StreamingCacheSim::finish_into(CacheSimResult& out) {
   for (const Row& row : rows_) out.per_resolver[row.result.resolver] = row.result;
+  if (bound_) {
+    evictions_->inc(ages_.count());
+    eviction_ages_->merge_from(ages_);
+    ages_.reset();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -126,6 +126,13 @@ struct CacheSimResult {
 // TTL-0 answer is used once and never cached (RFC 1035, mirroring
 // EcsCache::insert).
 //
+// A query's key is hashed once. The lookup probes with that hash; a miss
+// inserts under it with no key compares (FlatHashMap::insert_absent: the
+// lookup just proved the key absent, and eviction removes only other
+// keys); and the entry's expiry record (unbounded) or slab entry (bounded)
+// keeps the hash, not a copy of the key, so retiring or evicting the entry
+// erases it through that hash (FlatHashMap::erase_with).
+//
 // With `options.max_entries_per_resolver` set, every resolver's cache
 // holds at most that many entries, and an insert into a full cache first
 // evicts the victim `options.policy` names (a "premature eviction").
@@ -134,11 +141,15 @@ struct CacheSimResult {
 // dense slots, so once a cache has reached its bound observe() allocates
 // nothing for it. Memory is O(live cache entries + resolvers observed),
 // independent of how many queries flow through.
+//
+// Capacity evictions are tallied inside the instance, so an eviction
+// touches no shared metric; the tallies reach the registry given to the
+// constructor when the instance finishes (finish() or finish_into()).
 class StreamingCacheSim {
  public:
   // Capacity evictions count into `metrics` (cache_sim.capacity_evictions,
-  // plus the entry-age histogram cache_sim.eviction_age_s); unbounded
-  // replays record nothing there.
+  // plus the entry-age histogram cache_sim.eviction_age_s) when the
+  // instance finishes; unbounded replays record nothing there.
   StreamingCacheSim(std::uint32_t resolvers, const CacheSimOptions& options,
                     obs::MetricsRegistry& metrics = obs::MetricsRegistry::global());
 
@@ -148,12 +159,14 @@ class StreamingCacheSim {
 
   void observe(const TraceQuery& q);
   // Per-resolver rows, one per resolver id; resolvers never observed keep
-  // all-zero rows. The instance is spent afterwards.
+  // all-zero rows. Adds the eviction tallies to the registry. The instance
+  // is spent afterwards.
   CacheSimResult finish();
   // Writes the row of every observed resolver into
   // `out.per_resolver[resolver]`, which must hold a row per resolver id, and
   // touches no other row; instances that observed disjoint resolvers may
-  // write into one result concurrently. The instance is spent afterwards.
+  // write into one result concurrently. Adds the eviction tallies to the
+  // registry. The instance is spent afterwards.
   void finish_into(CacheSimResult& out);
 
   std::uint64_t queries() const noexcept { return queries_; }
@@ -175,11 +188,14 @@ class StreamingCacheSim {
     std::uint32_t resolver;
     Slot slot;
   };
+  // A bounded entry's slab record: 24 bytes. The key lives only in the
+  // table; its hash is enough to erase it there (see release()).
   struct Entry {
-    detail::CacheKey key;
+    std::uint64_t hash = 0;  // detail::CacheKeyHash of the entry's key
     SimTime inserted_at = 0;
     SimTime expiry = 0;  // kFree once the slot is released
   };
+  static_assert(sizeof(Entry) == 24);
   // One resolver's capacity state (bounded mode only).
   struct ResolverCache {
     explicit ResolverCache(resolver::EvictionPolicy policy) : order(policy) {}
@@ -198,7 +214,9 @@ class StreamingCacheSim {
   Row& observed_row(std::uint32_t resolver) { return rows_[row_index_[resolver]]; }
   void retire_expired(SimTime now);
   ResolverCache& cache_of(Row& row);
-  ECSDNS_NOALLOC void release(ResolverCache& cache, Slot slot);
+  // Removes the live entry in `resolver`'s `slot` from the table and the
+  // slab, and frees the slot.
+  ECSDNS_NOALLOC void release(ResolverCache& cache, std::uint32_t resolver, Slot slot);
   ECSDNS_NOALLOC void evict_one(ResolverCache& cache, ResolverCacheResult& row,
                                 SimTime now);
 
@@ -206,8 +224,12 @@ class StreamingCacheSim {
   std::optional<std::uint32_t> ttl_override_;
   std::optional<std::size_t> bound_;
   resolver::EvictionPolicy policy_;
+  // The registry's eviction metrics (bounded mode), and this instance's
+  // eviction ages, added to them once when the instance finishes; the
+  // count of ages is the eviction count.
   obs::Counter* evictions_ = nullptr;
   obs::Histogram* eviction_ages_ = nullptr;
+  obs::Histogram ages_;
   // Live entries. The value is the entry's expiry (unbounded mode) or its
   // slot in its resolver's slab (bounded mode).
   dnscore::FlatHashMap<detail::CacheKey, SimTime, detail::CacheKeyHash> table_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace ecsdns::netsim {
@@ -15,6 +17,9 @@ double Rng::exponential(double mean) {
 
 ZipfSampler::ZipfSampler(std::size_t n, double s) {
   if (n == 0) throw std::invalid_argument("ZipfSampler requires n > 0");
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("ZipfSampler supports at most 2^32 - 1 ranks");
+  }
   cdf_.resize(n);
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -22,13 +27,28 @@ ZipfSampler::ZipfSampler(std::size_t n, double s) {
     cdf_[i] = total;
   }
   for (auto& v : cdf_) v /= total;
+  // Both k/n and the first rank reaching it only rise with k, so one
+  // two-pointer pass fills the table.
+  guide_.resize(n);
+  std::size_t rank = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double threshold = static_cast<double>(k) / static_cast<double>(n);
+    while (rank + 1 < n && cdf_[rank] < threshold) ++rank;
+    guide_[k] = static_cast<std::uint32_t>(rank);
+  }
 }
 
 std::size_t ZipfSampler::sample(Rng& rng) const {
   const double u = rng.uniform_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) return cdf_.size() - 1;
-  return static_cast<std::size_t>(it - cdf_.begin());
+  const std::size_t n = cdf_.size();
+  const auto k = std::min(static_cast<std::size_t>(u * static_cast<double>(n)), n - 1);
+  std::size_t rank = guide_[k];
+  // guide_[k] is the first rank whose CDF reaches k/n <= u, so the answer
+  // is at or after it — unless rounding in u*n picked a k just past u;
+  // then step back first.
+  while (rank > 0 && cdf_[rank - 1] >= u) --rank;
+  while (rank + 1 < n && cdf_[rank] < u) ++rank;
+  return rank;
 }
 
 }  // namespace ecsdns::netsim

@@ -245,6 +245,48 @@ TEST(FlatHash, EraseWithRemovesFirstMatchInProbeOrder) {
   for (std::uint64_t k : {10u, 12u, 14u, 15u}) ASSERT_NE(map.find(k), nullptr) << k;
 }
 
+// insert_absent under a constant hash: every key collides into one probe
+// run, which wraps around the table and is rebuilt by each growth. Each
+// key must stay findable, size() must count each insert, and erase_with
+// must then remove exactly the entry its predicate picks.
+TEST(FlatHash, InsertAbsentKeepsEveryKeyThroughGrowthAndCollisions) {
+  struct ConstantHash {
+    std::size_t operator()(std::uint64_t) const noexcept { return 5; }
+  };
+  FlatHashMap<std::uint64_t, std::uint64_t, ConstantHash> map;
+  constexpr std::uint64_t kKeys = 100;
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    const auto* slot = map.insert_absent(5, k, k * 10);
+    ASSERT_NE(slot, nullptr);
+    EXPECT_EQ(slot->key, k);
+    EXPECT_EQ(slot->value, k * 10);
+    ASSERT_EQ(map.size(), k + 1);
+    for (std::uint64_t j = 0; j <= k; ++j) {
+      const std::uint64_t* found = map.find(j);
+      ASSERT_NE(found, nullptr) << "lost " << j << " after inserting " << k;
+      ASSERT_EQ(*found, j * 10);
+    }
+  }
+  EXPECT_GE(map.capacity() * 3, kKeys * 4);  // grew past several doublings
+  EXPECT_EQ(map.find(kKeys), nullptr);
+
+  EXPECT_TRUE(map.erase_with(
+      5, [](std::uint64_t, std::uint64_t value) { return value == 420; }));
+  EXPECT_EQ(map.size(), kKeys - 1);
+  EXPECT_EQ(map.find(42u), nullptr);
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    if (k == 42) continue;
+    ASSERT_NE(map.find(k), nullptr) << "lost " << k;
+    EXPECT_EQ(*map.find(k), k * 10);
+  }
+
+  // A key erased earlier can be placed again, and it lands findable.
+  map.insert_absent(5, 42u, 7u);
+  ASSERT_NE(map.find(42u), nullptr);
+  EXPECT_EQ(*map.find(42u), 7u);
+  EXPECT_EQ(map.size(), kKeys);
+}
+
 // A hash of exactly 0 must not be mistaken for an empty slot.
 TEST(FlatHash, ZeroHashIsStorable) {
   struct ZeroHash {

@@ -2,6 +2,11 @@
 // latency model, transport, and the geolocation database.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "netsim/asndb.h"
 #include "netsim/event_loop.h"
 #include "netsim/geo.h"
@@ -65,6 +70,38 @@ TEST(Zipf, Rank0IsMostPopular) {
 }
 
 TEST(Zipf, RejectsEmpty) { EXPECT_THROW(ZipfSampler(0, 1.0), std::invalid_argument); }
+
+// The guide-table search must return exactly what a binary search over the
+// same CDF returns: the first rank whose CDF reaches the uniform draw (the
+// last rank if none does). The reference rebuilds the CDF with the
+// sampler's arithmetic and draws from a twin generator.
+TEST(Zipf, GuideTableMatchesLowerBound) {
+  for (const std::size_t n : {1u, 2u, 64u, 1000u, 100000u}) {
+    for (const double s : {0.6, 0.8, 1.0}) {
+      const ZipfSampler zipf(n, s);
+      std::vector<double> cdf(n);
+      double total = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        total += 1.0 / std::pow(static_cast<double>(i + 1), s);
+        cdf[i] = total;
+      }
+      for (auto& v : cdf) v /= total;
+
+      const std::uint64_t seed = n * 31 + static_cast<std::uint64_t>(s * 10);
+      Rng sampled(seed);
+      Rng reference(seed);
+      std::size_t mismatches = 0;
+      for (int i = 0; i < 1'000'000; ++i) {
+        const double u = reference.uniform_double();
+        const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+        const std::size_t want =
+            it == cdf.end() ? n - 1 : static_cast<std::size_t>(it - cdf.begin());
+        if (zipf.sample(sampled) != want) ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " s=" << s;
+    }
+  }
+}
 
 TEST(EventLoop, OrdersByTimeThenSeq) {
   EventLoop loop;

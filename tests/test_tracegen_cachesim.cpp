@@ -2,11 +2,17 @@
 #include <gtest/gtest.h>
 #include <map>
 
+#include <cstdint>
 #include <numeric>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "measurement/cache_sim.h"
 #include "measurement/tracegen.h"
+#include "obs/metrics.h"
+#include "resolver/eviction.h"
 
 namespace ecsdns::measurement {
 namespace {
@@ -293,6 +299,76 @@ TEST(CacheSim, UnobservedResolversKeepZeroRows) {
   CacheSimOptions sharded;
   sharded.shards = 4;
   EXPECT_EQ(result_digest(simulate_cache(t, sharded)), result_digest(serial));
+}
+
+// The eviction metrics a bounded replay exports, pinned for one fixed
+// trace under every policy, at one shard and at three: the eviction count
+// and the whole entry-age histogram (count, sum, min, max and every
+// non-empty bucket). Where the fold keeps its tallies before they reach
+// the registry must not change any of these figures.
+TEST(CacheSim, BoundedEvictionMetricsArePinned) {
+  struct Exported {
+    std::uint64_t evictions = 0;
+    std::uint64_t count = 0;
+    std::uint64_t sum = 0;
+    std::uint64_t min = 0;
+    std::uint64_t max = 0;
+    std::vector<std::pair<int, std::uint64_t>> buckets;  // non-empty only
+
+    bool operator==(const Exported&) const = default;
+  };
+  const auto to_text = [](const Exported& e) {
+    std::string out = "{" + std::to_string(e.evictions) + ", " +
+                      std::to_string(e.count) + ", " + std::to_string(e.sum) +
+                      ", " + std::to_string(e.min) + ", " + std::to_string(e.max) +
+                      ", {";
+    for (const auto& [b, n] : e.buckets) {
+      out += "{" + std::to_string(b) + ", " + std::to_string(n) + "}, ";
+    }
+    return out + "}}";
+  };
+  const Trace trace = generate_public_resolver_cdn_trace(small_cdn_config());
+  const auto replay = [&trace](resolver::EvictionPolicy policy, std::size_t shards) {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+    registry.reset();
+    CacheSimOptions options;
+    options.with_ecs = true;
+    options.max_entries_per_resolver = 12;
+    options.policy = policy;
+    options.shards = shards;
+    (void)simulate_cache(trace, options);
+    Exported e;
+    e.evictions = registry.counter("cache_sim.capacity_evictions").value();
+    const obs::Histogram& ages = registry.histogram("cache_sim.eviction_age_s");
+    e.count = ages.count();
+    e.sum = ages.sum();
+    e.min = ages.min();
+    e.max = ages.max();
+    for (int b = 0; b < obs::Histogram::kBuckets; ++b) {
+      if (ages.bucket(b) != 0) e.buckets.emplace_back(b, ages.bucket(b));
+    }
+    return e;
+  };
+  const std::vector<std::pair<resolver::EvictionPolicy, Exported>> pinned = {
+      {resolver::EvictionPolicy::kLru,
+       {29479, 29479, 16330, 0, 9, {{0, 17192}, {1, 9247}, {2, 2839}, {3, 195}, {4, 6}}}},
+      {resolver::EvictionPolicy::kLfu,
+       {27086, 27086, 3854, 0, 16,
+        {{0, 23640}, {1, 3104}, {2, 337}, {3, 1}, {4, 3}, {5, 1}}}},
+      {resolver::EvictionPolicy::kSieve,
+       {27129, 27129, 4162, 0, 19,
+        {{0, 23550}, {1, 3206}, {2, 345}, {3, 11}, {4, 14}, {5, 3}}}},
+      {resolver::EvictionPolicy::kScopeAware,
+       {27040, 27040, 4301, 0, 19,
+        {{0, 24243}, {1, 2294}, {2, 371}, {3, 60}, {4, 58}, {5, 14}}}},
+  };
+  for (const auto& [policy, want] : pinned) {
+    for (const std::size_t shards : {1u, 3u}) {
+      const Exported got = replay(policy, shards);
+      EXPECT_EQ(got, want) << resolver::to_string(policy) << " at " << shards
+                           << " shard(s): " << to_text(got);
+    }
+  }
 }
 
 }  // namespace
