@@ -19,6 +19,7 @@
 #include "dnscore/name.h"
 #include "dnscore/record.h"
 #include "dnscore/wire.h"
+#include "wire_rejects.h"
 
 namespace {
 
@@ -104,6 +105,11 @@ void message_seeds() {
   bytes = q.serialize(false);
   bytes.resize(bytes.size() - 3);  // mid-question
   write_seed("message", "truncated_question.bin", bytes);
+
+  // One seed per reject rule of the wire grammar.
+  for (const auto& reject : ecsdns::fuzz::wire_reject_cases()) {
+    write_seed("message", reject.name + ".bin", reject.broken);
+  }
 }
 
 void name_seeds() {

@@ -132,11 +132,9 @@ inline void check_message(const std::uint8_t* data, std::size_t size) {
   (void)first.to_string();  // rendering must not crash either
 }
 
-// MessageView ⇄ Message::parse differential oracle. The view's constructor
-// promises to accept a wire buffer if and only if the full parser does, and
-// to read the same header/question/EDNS/ECS fields out of it. Any
-// divergence — one side rejecting what the other accepts, or a field
-// disagreement on an accepted input — is a bug in one of them.
+// MessageView ⇄ Message::parse differential oracle. Both readers run the one
+// wire walk (dnscore/wire_grammar.h), so any divergence in acceptance or in
+// a shared header/question/EDNS/ECS field is a bug.
 inline void check_message_view(const std::uint8_t* data, std::size_t size) {
   using dnscore::Message;
   using dnscore::MessageView;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "dnscore/contracts.h"
+#include "dnscore/wire_grammar.h"
 
 namespace ecsdns::dnscore {
 namespace {
@@ -111,35 +112,13 @@ OptRecord OptRecord::parse_body(WireReader& reader) {
 }
 
 void OptRecord::parse_body_into(WireReader& reader, OptRecord& opt) {
-  opt.udp_payload_size = reader.u16();
-  const std::uint32_t ttl = reader.u32();
-  opt.extended_rcode = static_cast<std::uint8_t>(ttl >> 24);
-  opt.version = static_cast<std::uint8_t>((ttl >> 16) & 0xff);
-  opt.dnssec_ok = (ttl & 0x8000u) != 0;
-  const std::uint16_t rdlength = reader.u16();
-  const std::size_t start = reader.offset();
-  const std::size_t end = start + rdlength;
-  // Check the TLV framing first, so the kept buffer only ever holds well
-  // framed options.
-  while (reader.offset() < end) {
-    if (end - reader.offset() < kTlvHeader) {
-      throw WireFormatError("truncated EDNS option header");
-    }
-    reader.skip(2);  // OPTION-CODE
-    const std::uint16_t optlen = reader.u16();
-    if (reader.offset() + optlen > end) {
-      throw WireFormatError("EDNS option overruns OPT rdata");
-    }
-    reader.skip(optlen);
-  }
-  // Each TLV was bounds-checked against `end`, so a successful walk lands
-  // exactly on the declared RDLENGTH boundary.
-  ECSDNS_DCHECK(reader.offset() == end);
-  reader.seek(start);
-  const auto rdata = reader.bytes(rdlength);
+  // The walk checks the TLV framing first, so the kept buffer only ever
+  // holds well framed options.
+  const auto options = grammar::walk_opt_body(
+      reader, opt, [](std::uint16_t, std::size_t, std::uint16_t) {});
   // ecstidy:allow(noalloc): refills the kept option buffer; it grows only
   // for a longer option list than it has held.
-  opt.options_.assign(rdata.begin(), rdata.end());
+  opt.options_.assign(options.begin(), options.end());
 }
 
 }  // namespace ecsdns::dnscore

@@ -4,17 +4,68 @@
 #include <stdexcept>
 
 #include "dnscore/contracts.h"
+#include "dnscore/wire_grammar.h"
 
 namespace ecsdns::dnscore {
 namespace {
 
-constexpr std::uint16_t kQrMask = 0x8000;
-constexpr std::uint16_t kAaMask = 0x0400;
-constexpr std::uint16_t kTcMask = 0x0200;
-constexpr std::uint16_t kRdMask = 0x0100;
-constexpr std::uint16_t kRaMask = 0x0080;
-constexpr std::uint16_t kAdMask = 0x0020;
-constexpr std::uint16_t kCdMask = 0x0010;
+// The materializing sink of the one wire walk: questions, records and the
+// OPT record land in `m`, whose section vectors and OPT option buffer keep
+// their capacity. The records themselves come from RecordBuilder.
+struct MessageBuilder : grammar::RecordBuilder {
+  explicit MessageBuilder(Message& out) : m(out) {}
+
+  ECSDNS_NOALLOC void counts(const grammar::SectionCounts& c,
+                             std::size_t remaining) {
+    m.questions.clear();
+    m.answers.clear();
+    m.authorities.clear();
+    m.additional.clear();
+    // Reserve using a per-entry wire minimum (question 5 octets, record 11)
+    // so declared-but-truncated counts cannot drive huge allocations while
+    // well-formed messages get at most one vector growth per section —
+    // none once a retained message has seen the shape before.
+    // ecstidy:allow(noalloc): first-use growth, bounded by the wire size;
+    // a retained message re-parsing same-shaped packets never grows.
+    m.questions.reserve(std::min<std::size_t>(c.questions, remaining / 5));
+    // ecstidy:allow(noalloc): first-use growth, bounded by the wire size.
+    m.answers.reserve(std::min<std::size_t>(c.answers, remaining / 11));
+    // ecstidy:allow(noalloc): first-use growth, bounded by the wire size.
+    m.authorities.reserve(std::min<std::size_t>(c.authorities, remaining / 11));
+    // ecstidy:allow(noalloc): first-use growth, bounded by the wire size.
+    m.additional.reserve(std::min<std::size_t>(c.additional, remaining / 11));
+  }
+  ECSDNS_NOALLOC void question(std::size_t, Name&& qname, RRType qtype,
+                               RRClass qclass) {
+    // ecstidy:allow(noalloc): appends fit the capacity reserved in counts().
+    m.questions.emplace_back(std::move(qname), qtype, qclass);
+  }
+  ECSDNS_NOALLOC void answer(ResourceRecord&& rr) {
+    // ecstidy:allow(noalloc): appends fit the capacity reserved in counts().
+    m.answers.push_back(std::move(rr));
+  }
+  ECSDNS_NOALLOC void authority(ResourceRecord&& rr) {
+    // ecstidy:allow(noalloc): appends fit the capacity reserved in counts().
+    m.authorities.push_back(std::move(rr));
+  }
+  ECSDNS_NOALLOC void additional(ResourceRecord&& rr) {
+    // ecstidy:allow(noalloc): appends fit the capacity reserved in counts().
+    m.additional.push_back(std::move(rr));
+  }
+  ECSDNS_NOALLOC std::uint8_t opt(WireReader& r) {
+    // ecstidy:allow(noalloc): engages the retained record on first use;
+    // the optional holds it in place, so this never allocates again.
+    if (!m.opt) m.opt.emplace();
+    OptRecord::parse_body_into(r, *m.opt);
+    return m.opt->extended_rcode;
+  }
+  ECSDNS_NOALLOC void finish(const Header& header, bool has_opt) {
+    m.header = header;
+    if (!has_opt) m.opt.reset();
+  }
+
+  Message& m;
+};
 
 }  // namespace
 
@@ -122,14 +173,14 @@ void Message::serialize_body(WireWriter& w, Name::CompressionTable* tp) const {
   ECSDNS_DCHECK(w.size() == 0);
   w.u16(header.id);
   std::uint16_t flags = 0;
-  if (header.qr) flags |= kQrMask;
+  if (header.qr) flags |= grammar::kQrMask;
   flags |= static_cast<std::uint16_t>(static_cast<std::uint16_t>(header.opcode) << 11);
-  if (header.aa) flags |= kAaMask;
-  if (header.tc) flags |= kTcMask;
-  if (header.rd) flags |= kRdMask;
-  if (header.ra) flags |= kRaMask;
-  if (header.ad) flags |= kAdMask;
-  if (header.cd) flags |= kCdMask;
+  if (header.aa) flags |= grammar::kAaMask;
+  if (header.tc) flags |= grammar::kTcMask;
+  if (header.rd) flags |= grammar::kRdMask;
+  if (header.ra) flags |= grammar::kRaMask;
+  if (header.ad) flags |= grammar::kAdMask;
+  if (header.cd) flags |= grammar::kCdMask;
   flags |= static_cast<std::uint16_t>(static_cast<std::uint16_t>(header.rcode) & 0x0f);
   w.u16(flags);
   // Section counts are 16-bit on the wire; a message that outgrew them is a
@@ -162,88 +213,8 @@ Message Message::parse(std::span<const std::uint8_t> wire) {
 
 void Message::parse_into(std::span<const std::uint8_t> wire, Message& m) {
   WireReader r(wire);
-  m.header = Header{};
-  m.header.id = r.u16();
-  const std::uint16_t flags = r.u16();
-  m.header.qr = (flags & kQrMask) != 0;
-  m.header.opcode = static_cast<Opcode>((flags >> 11) & 0x0f);
-  m.header.aa = (flags & kAaMask) != 0;
-  m.header.tc = (flags & kTcMask) != 0;
-  m.header.rd = (flags & kRdMask) != 0;
-  m.header.ra = (flags & kRaMask) != 0;
-  m.header.ad = (flags & kAdMask) != 0;
-  m.header.cd = (flags & kCdMask) != 0;
-  std::uint16_t rcode_bits = flags & 0x0f;
-
-  const std::uint16_t qdcount = r.u16();
-  const std::uint16_t ancount = r.u16();
-  const std::uint16_t nscount = r.u16();
-  const std::uint16_t arcount = r.u16();
-
-  m.questions.clear();
-  m.answers.clear();
-  m.authorities.clear();
-  m.additional.clear();
-  // Reserve using a per-entry wire minimum (question 5 octets, record 11)
-  // so declared-but-truncated counts cannot drive huge allocations while
-  // well-formed messages get at most one vector growth per section — none
-  // once a retained message has seen the shape before.
-  // ecstidy:allow(noalloc): first-use growth, bounded by the wire size;
-  // a retained message re-parsing same-shaped packets never grows.
-  m.questions.reserve(std::min<std::size_t>(qdcount, r.remaining() / 5));
-  // ecstidy:allow(noalloc): first-use growth, bounded by the wire size.
-  m.answers.reserve(std::min<std::size_t>(ancount, r.remaining() / 11));
-  // ecstidy:allow(noalloc): first-use growth, bounded by the wire size.
-  m.authorities.reserve(std::min<std::size_t>(nscount, r.remaining() / 11));
-  // ecstidy:allow(noalloc): first-use growth, bounded by the wire size.
-  m.additional.reserve(std::min<std::size_t>(arcount, r.remaining() / 11));
-
-  // ecstidy resolves the qualified element parsers below by name, to this
-  // class's MAY_BLOCK parse(); each allow covers that and the append.
-  for (std::uint16_t i = 0; i < qdcount; ++i) {
-    // ecstidy:allow(noalloc): appends fit the capacity reserved above, and
-    // Question::parse allocates only for a name over 46 octets.
-    m.questions.push_back(Question::parse(r));
-  }
-  for (std::uint16_t i = 0; i < ancount; ++i) {
-    // ecstidy:allow(noalloc): appends fit the capacity reserved above;
-    // ResourceRecord::parse allocates only for long names or TXT/raw rdata.
-    m.answers.push_back(ResourceRecord::parse(r));
-  }
-  for (std::uint16_t i = 0; i < nscount; ++i) {
-    // ecstidy:allow(noalloc): appends fit the capacity reserved above;
-    // ResourceRecord::parse allocates only for long names or TXT/raw rdata.
-    m.authorities.push_back(ResourceRecord::parse(r));
-  }
-  bool seen_opt = false;
-  for (std::uint16_t i = 0; i < arcount; ++i) {
-    // OPT must be detected before committing to ResourceRecord::parse so we
-    // can decode its overloaded fields.
-    const std::size_t mark = r.offset();
-    // ecstidy:allow(noalloc): Name::parse, resolved by name to parse();
-    // an owner name of up to 46 octets decodes into inline storage.
-    const Name owner = Name::parse(r);
-    const RRType type = static_cast<RRType>(r.u16());
-    if (type == RRType::OPT) {
-      if (!owner.is_root()) throw WireFormatError("OPT record with non-root owner");
-      if (seen_opt) throw WireFormatError("duplicate OPT record");
-      seen_opt = true;
-      // ecstidy:allow(noalloc): engages the retained record on first use;
-      // the optional holds it in place, so this never allocates again.
-      if (!m.opt) m.opt.emplace();
-      OptRecord::parse_body_into(r, *m.opt);
-      rcode_bits = static_cast<std::uint16_t>(
-          rcode_bits | (static_cast<std::uint16_t>(m.opt->extended_rcode) << 4));
-    } else {
-      r.seek(mark);
-      // ecstidy:allow(noalloc): appends fit the capacity reserved above;
-      // ResourceRecord::parse allocates only for long names or TXT/raw rdata.
-      m.additional.push_back(ResourceRecord::parse(r));
-    }
-  }
-  if (!seen_opt) m.opt.reset();
-  m.header.rcode = static_cast<RCode>(rcode_bits);
-  if (!r.at_end()) throw WireFormatError("trailing bytes after message");
+  MessageBuilder builder(m);
+  grammar::walk_message(r, builder);
 }
 
 std::string Message::to_string() const {

@@ -2,172 +2,71 @@
 
 #include <stdexcept>
 
-#include "dnscore/contracts.h"
+#include "dnscore/wire_grammar.h"
 
 namespace ecsdns::dnscore {
-namespace {
 
-constexpr std::uint16_t kQrMask = 0x8000;
-constexpr std::uint16_t kAaMask = 0x0400;
-constexpr std::uint16_t kTcMask = 0x0200;
-constexpr std::uint16_t kRdMask = 0x0100;
-constexpr std::uint16_t kRaMask = 0x0080;
-constexpr std::uint16_t kAdMask = 0x0020;
-constexpr std::uint16_t kCdMask = 0x0010;
+// The skipping sink of the one wire walk: names are walked and counted,
+// rdata and records reduce to nothing, and the view keeps the header, the
+// counts, the first question, the OPT fields and the first ECS payload's
+// place in the buffer.
+struct MessageView::Walker {
+  struct Skipped {};
+  using Rdata = Skipped;
 
-// The skip_* functions below are validation mirrors of parse_rdata /
-// ResourceRecord::parse: same reader calls in the same order, same throw
-// conditions, no materialization. Any edit to the parsers must be mirrored
-// here — the differential fuzz oracle will catch a drift, but don't make it.
-
-void check_rdata_bounds(const WireReader& reader, std::size_t end,
-                        const char* what) {
-  if (reader.offset() > end) {
-    throw WireFormatError(std::string("rdata overruns RDLENGTH in ") + what);
+  ECSDNS_NOALLOC std::size_t name(WireReader& r) const { return Name::skip(r); }
+  template <class T, class... Fields>
+  Skipped make(const Fields&...) const {
+    return {};
   }
-}
+  Skipped a(std::span<const std::uint8_t>) const { return {}; }
+  Skipped aaaa(std::span<const std::uint8_t>) const { return {}; }
+  void txt_string(Skipped&, std::span<const std::uint8_t>) const {}
+  Skipped raw(RRType, std::span<const std::uint8_t>) const { return {}; }
 
-void skip_rdata(RRType type, std::uint16_t rdlength, WireReader& reader) {
-  const std::size_t end = reader.offset() + rdlength;
-  switch (type) {
-    case RRType::A:
-      if (rdlength != 4) throw WireFormatError("A rdata must be 4 octets");
-      reader.skip(4);
-      return;
-    case RRType::AAAA:
-      if (rdlength != 16) throw WireFormatError("AAAA rdata must be 16 octets");
-      reader.skip(16);
-      return;
-    case RRType::NS:
-      Name::skip(reader);
-      check_rdata_bounds(reader, end, "NS");
-      return;
-    case RRType::CNAME:
-      Name::skip(reader);
-      check_rdata_bounds(reader, end, "CNAME");
-      return;
-    case RRType::PTR:
-      Name::skip(reader);
-      check_rdata_bounds(reader, end, "PTR");
-      return;
-    case RRType::MX:
-      reader.skip(2);  // preference
-      Name::skip(reader);
-      check_rdata_bounds(reader, end, "MX");
-      return;
-    case RRType::TXT: {
-      std::size_t consumed = 0;
-      while (consumed < rdlength) {
-        const std::uint8_t len = reader.u8();
-        reader.skip(len);
-        consumed += 1u + len;
+  ECSDNS_NOALLOC void counts(const grammar::SectionCounts& c, std::size_t) {
+    view.qdcount_ = c.questions;
+    view.ancount_ = c.answers;
+    view.nscount_ = c.authorities;
+    view.arcount_ = c.additional;
+  }
+  ECSDNS_NOALLOC void question(std::size_t at, std::size_t, RRType qtype,
+                               RRClass qclass) {
+    if (questions++ != 0) return;
+    view.qname_offset_ = at;
+    view.qtype_ = qtype;
+    view.qclass_ = qclass;
+  }
+  void answer(Skipped) const {}
+  void authority(Skipped) const {}
+  void additional(Skipped) const {}
+  ECSDNS_NOALLOC std::uint8_t opt(WireReader& r) {
+    const auto first_ecs = [this](std::uint16_t code, std::size_t at,
+                                  std::uint16_t length) {
+      if (view.has_ecs_ ||
+          code != static_cast<std::uint16_t>(EdnsOptionCode::ECS)) {
+        return;
       }
-      if (consumed != rdlength) throw WireFormatError("TXT rdata length mismatch");
-      return;
-    }
-    case RRType::SOA:
-      Name::skip(reader);  // mname
-      Name::skip(reader);  // rname
-      for (int i = 0; i < 5; ++i) reader.skip(4);  // serial..minimum
-      check_rdata_bounds(reader, end, "SOA");
-      return;
-    default:
-      reader.skip(rdlength);
-      return;
+      view.has_ecs_ = true;
+      view.ecs_offset_ = at;
+      view.ecs_length_ = length;
+    };
+    grammar::walk_opt_body(r, view.edns_, first_ecs);
+    return view.edns_.extended_rcode;
   }
-}
+  ECSDNS_NOALLOC void finish(const Header& header, bool has_opt) {
+    view.header_ = header;
+    view.has_opt_ = has_opt;
+  }
 
-// Skips class/TTL/RDLENGTH/rdata; the caller already consumed owner + TYPE.
-void skip_record_tail(RRType type, WireReader& reader) {
-  reader.skip(2);  // class
-  reader.skip(4);  // ttl
-  const std::uint16_t rdlength = reader.u16();
-  const std::size_t end = reader.offset() + rdlength;
-  skip_rdata(type, rdlength, reader);
-  reader.seek(end);
-}
-
-void skip_record(WireReader& reader) {
-  Name::skip(reader);
-  const RRType type = static_cast<RRType>(reader.u16());
-  skip_record_tail(type, reader);
-}
-
-}  // namespace
+  MessageView& view;
+  std::size_t questions = 0;
+};
 
 MessageView::MessageView(std::span<const std::uint8_t> wire) : wire_(wire) {
   WireReader r(wire);
-  id_ = r.u16();
-  const std::uint16_t flags = r.u16();
-  qr_ = (flags & kQrMask) != 0;
-  opcode_ = static_cast<Opcode>((flags >> 11) & 0x0f);
-  aa_ = (flags & kAaMask) != 0;
-  tc_ = (flags & kTcMask) != 0;
-  rd_ = (flags & kRdMask) != 0;
-  ra_ = (flags & kRaMask) != 0;
-  ad_ = (flags & kAdMask) != 0;
-  cd_ = (flags & kCdMask) != 0;
-  std::uint16_t rcode_bits = flags & 0x0f;
-
-  qdcount_ = r.u16();
-  ancount_ = r.u16();
-  nscount_ = r.u16();
-  arcount_ = r.u16();
-
-  for (std::uint16_t i = 0; i < qdcount_; ++i) {
-    const std::size_t name_at = r.offset();
-    Name::skip(r);
-    const RRType qtype = static_cast<RRType>(r.u16());
-    const RRClass qclass = static_cast<RRClass>(r.u16());
-    if (i == 0) {
-      qname_offset_ = name_at;
-      qtype_ = qtype;
-      qclass_ = qclass;
-    }
-  }
-  for (std::uint16_t i = 0; i < ancount_; ++i) skip_record(r);
-  for (std::uint16_t i = 0; i < nscount_; ++i) skip_record(r);
-  for (std::uint16_t i = 0; i < arcount_; ++i) {
-    const std::size_t labels = Name::skip(r);
-    const RRType type = static_cast<RRType>(r.u16());
-    if (type == RRType::OPT) {
-      if (labels != 0) throw WireFormatError("OPT record with non-root owner");
-      if (has_opt_) throw WireFormatError("duplicate OPT record");
-      has_opt_ = true;
-      // Mirror of OptRecord::parse_body, recording field values and the
-      // first ECS payload location instead of copying option payloads.
-      udp_payload_size_ = r.u16();
-      const std::uint32_t ttl = r.u32();
-      extended_rcode_ = static_cast<std::uint8_t>(ttl >> 24);
-      edns_version_ = static_cast<std::uint8_t>((ttl >> 16) & 0xff);
-      dnssec_ok_ = (ttl & 0x8000u) != 0;
-      const std::uint16_t rdlength = r.u16();
-      const std::size_t end = r.offset() + rdlength;
-      while (r.offset() < end) {
-        if (end - r.offset() < 4) {
-          throw WireFormatError("truncated EDNS option header");
-        }
-        const std::uint16_t code = r.u16();
-        const std::uint16_t optlen = r.u16();
-        if (r.offset() + optlen > end) {
-          throw WireFormatError("EDNS option overruns OPT rdata");
-        }
-        if (!has_ecs_ &&
-            code == static_cast<std::uint16_t>(EdnsOptionCode::ECS)) {
-          has_ecs_ = true;
-          ecs_offset_ = r.offset();
-          ecs_length_ = optlen;
-        }
-        r.skip(optlen);
-      }
-      rcode_bits = static_cast<std::uint16_t>(
-          rcode_bits | (static_cast<std::uint16_t>(extended_rcode_) << 4));
-    } else {
-      skip_record_tail(type, r);
-    }
-  }
-  rcode_ = static_cast<RCode>(rcode_bits);
-  if (!r.at_end()) throw WireFormatError("trailing bytes after message");
+  Walker walker{*this};
+  grammar::walk_message(r, walker);
 }
 
 Name MessageView::qname() const {

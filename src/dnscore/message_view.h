@@ -8,14 +8,11 @@
 // retained message instead (the authoritative's serve_wire, the resolver's
 // upstream exchange).
 //
-// The constructor walks the ENTIRE message eagerly with exactly the
-// validation rules of Message::parse — same reader primitives, same order,
-// same WireFormatError conditions — so a wire buffer is accepted by
-// MessageView if and only if Message::parse accepts it (the differential
-// oracle in tests/ and fuzz/ holds the two implementations to that
-// contract). What the walk skips is materialization: it records offsets
-// into the buffer instead of building Names, records, and option vectors.
-// qname() and ecs() decode on demand from the recorded offsets.
+// The constructor validates the ENTIRE message eagerly: it runs the one
+// wire walk Message::parse_into runs (dnscore/wire_grammar.h) with a sink
+// that records offsets instead of materializing, so the view accepts a
+// buffer exactly when Message::parse does. qname() and ecs() decode on
+// demand from the recorded offsets.
 //
 // Lifetime: the view borrows the buffer. The caller keeps the wire bytes
 // alive and unmodified for as long as the view (or any span returned from
@@ -45,19 +42,19 @@ class MessageView {
   std::span<const std::uint8_t> wire() const noexcept { return wire_; }
 
   // --- header ---
-  std::uint16_t id() const noexcept { return id_; }
-  bool qr() const noexcept { return qr_; }
-  Opcode opcode() const noexcept { return opcode_; }
-  bool aa() const noexcept { return aa_; }
-  bool tc() const noexcept { return tc_; }
-  bool rd() const noexcept { return rd_; }
-  bool ra() const noexcept { return ra_; }
-  bool ad() const noexcept { return ad_; }
-  bool cd() const noexcept { return cd_; }
+  std::uint16_t id() const noexcept { return header_.id; }
+  bool qr() const noexcept { return header_.qr; }
+  Opcode opcode() const noexcept { return header_.opcode; }
+  bool aa() const noexcept { return header_.aa; }
+  bool tc() const noexcept { return header_.tc; }
+  bool rd() const noexcept { return header_.rd; }
+  bool ra() const noexcept { return header_.ra; }
+  bool ad() const noexcept { return header_.ad; }
+  bool cd() const noexcept { return header_.cd; }
   // Includes the extended-rcode bits from the OPT TTL, like Message.
-  RCode rcode() const noexcept { return rcode_; }
-  bool is_query() const noexcept { return !qr_; }
-  bool is_response() const noexcept { return qr_; }
+  RCode rcode() const noexcept { return header_.rcode; }
+  bool is_query() const noexcept { return !header_.qr; }
+  bool is_response() const noexcept { return header_.qr; }
 
   std::uint16_t question_count() const noexcept { return qdcount_; }
   std::uint16_t answer_count() const noexcept { return ancount_; }
@@ -73,10 +70,10 @@ class MessageView {
 
   // --- EDNS / ECS ---
   bool has_opt() const noexcept { return has_opt_; }
-  std::uint16_t udp_payload_size() const noexcept { return udp_payload_size_; }
-  std::uint8_t edns_version() const noexcept { return edns_version_; }
-  bool dnssec_ok() const noexcept { return dnssec_ok_; }
-  std::uint8_t extended_rcode() const noexcept { return extended_rcode_; }
+  std::uint16_t udp_payload_size() const noexcept { return edns_.udp_payload_size; }
+  std::uint8_t edns_version() const noexcept { return edns_.version; }
+  bool dnssec_ok() const noexcept { return edns_.dnssec_ok; }
+  std::uint8_t extended_rcode() const noexcept { return edns_.extended_rcode; }
 
   // True when an ECS option TLV is present — a pure presence probe, no
   // payload decode (agrees with Message::has_ecs()).
@@ -88,13 +85,12 @@ class MessageView {
   std::optional<EcsOption> ecs() const;
 
  private:
+  // The walk's skipping sink (message_view.cpp).
+  struct Walker;
+
   std::span<const std::uint8_t> wire_;
 
-  std::uint16_t id_ = 0;
-  bool qr_ = false, aa_ = false, tc_ = false, rd_ = false, ra_ = false;
-  bool ad_ = false, cd_ = false;
-  Opcode opcode_ = Opcode::QUERY;
-  RCode rcode_ = RCode::NOERROR;
+  Header header_;
   std::uint16_t qdcount_ = 0, ancount_ = 0, nscount_ = 0, arcount_ = 0;
 
   std::size_t qname_offset_ = 0;
@@ -102,10 +98,14 @@ class MessageView {
   RRClass qclass_ = RRClass::IN;
 
   bool has_opt_ = false;
-  std::uint16_t udp_payload_size_ = 0;
-  std::uint8_t extended_rcode_ = 0;
-  std::uint8_t edns_version_ = 0;
-  bool dnssec_ok_ = false;
+  // The OPT record's fixed fields, named as in OptRecord so that
+  // walk_opt_body fills either.
+  struct EdnsFields {
+    std::uint16_t udp_payload_size = 0;
+    std::uint8_t extended_rcode = 0;
+    std::uint8_t version = 0;
+    bool dnssec_ok = false;
+  } edns_;
 
   bool has_ecs_ = false;
   std::size_t ecs_offset_ = 0;

@@ -1,6 +1,7 @@
 #include "dnscore/name.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "dnscore/contracts.h"
@@ -59,6 +60,47 @@ struct PackedBuilder {
     ++labels;
   }
 };
+
+// The one wire-name walk (RFC 1035 §3.1, §4.1.4): Name::parse passes a step
+// that appends each label, Name::skip one that counts it. Compression
+// pointers may only point backwards; after the first one the reader resumes
+// where the name's own wire form ended.
+template <class OnLabel>
+void walk_name(WireReader& reader, OnLabel&& on_label) {
+  std::size_t packed_size = 0;
+  std::optional<std::size_t> resume_at;
+  std::size_t jumps = 0;
+  for (;;) {
+    const std::size_t label_start = reader.offset();
+    const std::uint8_t len = reader.u8();
+    if ((len & kPointerMask) == kPointerMask) {
+      const std::uint8_t low = reader.u8();
+      const std::size_t target =
+          (static_cast<std::size_t>(len & 0x3f) << 8) | low;
+      if (target >= label_start) {
+        throw WireFormatError("compression pointer does not point backwards");
+      }
+      if (++jumps > kMaxPointerJumps) {
+        throw WireFormatError("compression pointer loop");
+      }
+      if (!resume_at) resume_at = reader.offset();
+      reader.seek(target);
+      continue;
+    }
+    if ((len & kPointerMask) != 0) {
+      throw WireFormatError("reserved label type 0x" + std::to_string(len >> 6));
+    }
+    if (len == 0) break;
+    if (packed_size + 1u + len > kMaxPacked) {
+      throw WireFormatError("decompressed name exceeds 255 octets");
+    }
+    packed_size += 1u + len;
+    on_label(reader.bytes(len));
+  }
+  ECSDNS_DCHECK(packed_size <= kMaxPacked);
+  ECSDNS_DCHECK(jumps <= kMaxPointerJumps);
+  if (resume_at) reader.seek(*resume_at);
+}
 
 }  // namespace
 
@@ -181,83 +223,15 @@ Name Name::from_string(const std::string& text) {
 
 Name Name::parse(WireReader& reader) {
   PackedBuilder packed;
-  // After the first compression pointer we keep reading at the pointed-to
-  // offset but remember where the name's wire representation ended.
-  std::optional<std::size_t> resume_at;
-  std::size_t jumps = 0;
-
-  for (;;) {
-    const std::size_t label_start = reader.offset();
-    const std::uint8_t len = reader.u8();
-    if ((len & kPointerMask) == kPointerMask) {
-      const std::uint8_t low = reader.u8();
-      const std::size_t target =
-          (static_cast<std::size_t>(len & 0x3f) << 8) | low;
-      if (target >= label_start) {
-        throw WireFormatError("compression pointer does not point backwards");
-      }
-      if (++jumps > kMaxPointerJumps) {
-        throw WireFormatError("compression pointer loop");
-      }
-      if (!resume_at) resume_at = reader.offset();
-      reader.seek(target);
-      continue;
-    }
-    if ((len & kPointerMask) != 0) {
-      throw WireFormatError("reserved label type 0x" + std::to_string(len >> 6));
-    }
-    if (len == 0) break;
-    if (packed.size + 1u + len > kMaxPacked) {
-      throw WireFormatError("decompressed name exceeds 255 octets");
-    }
-    const auto raw = reader.bytes(len);
-    packed.append_label(reinterpret_cast<const char*>(raw.data()), raw.size());
-  }
-  ECSDNS_DCHECK(packed.size <= kMaxPacked);
-  ECSDNS_DCHECK(jumps <= kMaxPointerJumps);
-  if (resume_at) reader.seek(*resume_at);
+  walk_name(reader, [&packed](std::span<const std::uint8_t> label) {
+    packed.append_label(reinterpret_cast<const char*>(label.data()), label.size());
+  });
   return Name{packed.octets, packed.size, packed.labels};
 }
 
 std::size_t Name::skip(WireReader& reader) {
-  // Mirror of parse() above with the label copies removed. Every validation
-  // branch — and therefore every WireFormatError — must stay in lockstep
-  // with parse(): the MessageView differential oracle holds the two to
-  // byte-identical accept/reject behavior.
-  std::size_t packed_size = 0;
   std::size_t labels = 0;
-  std::optional<std::size_t> resume_at;
-  std::size_t jumps = 0;
-
-  for (;;) {
-    const std::size_t label_start = reader.offset();
-    const std::uint8_t len = reader.u8();
-    if ((len & kPointerMask) == kPointerMask) {
-      const std::uint8_t low = reader.u8();
-      const std::size_t target =
-          (static_cast<std::size_t>(len & 0x3f) << 8) | low;
-      if (target >= label_start) {
-        throw WireFormatError("compression pointer does not point backwards");
-      }
-      if (++jumps > kMaxPointerJumps) {
-        throw WireFormatError("compression pointer loop");
-      }
-      if (!resume_at) resume_at = reader.offset();
-      reader.seek(target);
-      continue;
-    }
-    if ((len & kPointerMask) != 0) {
-      throw WireFormatError("reserved label type 0x" + std::to_string(len >> 6));
-    }
-    if (len == 0) break;
-    if (packed_size + 1u + len > kMaxPacked) {
-      throw WireFormatError("decompressed name exceeds 255 octets");
-    }
-    reader.skip(len);
-    packed_size += 1u + len;
-    ++labels;
-  }
-  if (resume_at) reader.seek(*resume_at);
+  walk_name(reader, [&labels](std::span<const std::uint8_t>) { ++labels; });
   return labels;
 }
 

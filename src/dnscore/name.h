@@ -61,12 +61,8 @@ class Name {
   // pointers raise WireFormatError (RFC 1035 §4.1.4).
   static Name parse(WireReader& reader);
 
-  // Walks past a wire-format name, enforcing exactly the validation rules
-  // of parse() — pointer direction, jump bound, reserved label types, the
-  // 255-octet decompressed limit — without materializing a Name. Returns
-  // the label count of the (decompressed) name; the reader ends up where
-  // parse() would leave it. MessageView's lazy decode is built on this, so
-  // skip() and parse() must accept and reject identical inputs.
+  // Walks past a wire-format name without materializing it and returns its
+  // label count; parse() and skip() run the one name walk in name.cpp.
   static std::size_t skip(WireReader& reader);
 
   // Label `i` (0 = leftmost), viewing the packed buffer — no allocation.

@@ -1,25 +1,8 @@
 #include "dnscore/rdata.h"
 
-#include <array>
-
-#include "dnscore/contracts.h"
+#include "dnscore/wire_grammar.h"
 
 namespace ecsdns::dnscore {
-namespace {
-
-// Guards against name-bearing rdata whose names (via compression) extend
-// past the declared RDLENGTH.
-struct RdataBounds {
-  std::size_t end;
-  void check(const WireReader& reader, const char* what) const {
-    ECSDNS_DCHECK(end <= reader.size() + 0xffffu);  // offset + u16 rdlength
-    if (reader.offset() > end) {
-      throw WireFormatError(std::string("rdata overruns RDLENGTH in ") + what);
-    }
-  }
-};
-
-}  // namespace
 
 RRType rdata_type(const Rdata& rdata) {
   return std::visit(
@@ -39,72 +22,7 @@ RRType rdata_type(const Rdata& rdata) {
 }
 
 Rdata parse_rdata(RRType type, std::uint16_t rdlength, WireReader& reader) {
-  const RdataBounds bounds{reader.offset() + rdlength};
-  switch (type) {
-    case RRType::A: {
-      if (rdlength != 4) throw WireFormatError("A rdata must be 4 octets");
-      const auto b = reader.bytes(4);
-      return ARdata{IpAddress::v4(b[0], b[1], b[2], b[3])};
-    }
-    case RRType::AAAA: {
-      if (rdlength != 16) throw WireFormatError("AAAA rdata must be 16 octets");
-      const auto b = reader.bytes(16);
-      std::array<std::uint8_t, 16> bytes{};
-      std::copy(b.begin(), b.end(), bytes.begin());
-      return AaaaRdata{IpAddress::v6(bytes)};
-    }
-    case RRType::NS: {
-      NsRdata r{Name::parse(reader)};
-      bounds.check(reader, "NS");
-      return r;
-    }
-    case RRType::CNAME: {
-      CnameRdata r{Name::parse(reader)};
-      bounds.check(reader, "CNAME");
-      return r;
-    }
-    case RRType::PTR: {
-      PtrRdata r{Name::parse(reader)};
-      bounds.check(reader, "PTR");
-      return r;
-    }
-    case RRType::MX: {
-      MxRdata r;
-      r.preference = reader.u16();
-      r.exchange = Name::parse(reader);
-      bounds.check(reader, "MX");
-      return r;
-    }
-    case RRType::TXT: {
-      TxtRdata r;
-      std::size_t consumed = 0;
-      while (consumed < rdlength) {
-        const std::uint8_t len = reader.u8();
-        const auto raw = reader.bytes(len);
-        r.strings.emplace_back(reinterpret_cast<const char*>(raw.data()), raw.size());
-        consumed += 1u + len;
-      }
-      if (consumed != rdlength) throw WireFormatError("TXT rdata length mismatch");
-      return r;
-    }
-    case RRType::SOA: {
-      SoaRdata r;
-      r.mname = Name::parse(reader);
-      r.rname = Name::parse(reader);
-      r.serial = reader.u32();
-      r.refresh = reader.u32();
-      r.retry = reader.u32();
-      r.expire = reader.u32();
-      r.minimum = reader.u32();
-      bounds.check(reader, "SOA");
-      return r;
-    }
-    default: {
-      const auto raw = reader.bytes(rdlength);
-      return RawRdata{static_cast<std::uint16_t>(type),
-                      std::vector<std::uint8_t>(raw.begin(), raw.end())};
-    }
-  }
+  return grammar::walk_rdata(type, rdlength, reader, grammar::RecordBuilder{});
 }
 
 void serialize_rdata(const Rdata& rdata, WireWriter& writer) {

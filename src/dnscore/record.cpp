@@ -1,5 +1,7 @@
 #include "dnscore/record.h"
 
+#include "dnscore/wire_grammar.h"
+
 namespace ecsdns::dnscore {
 
 void Question::serialize(WireWriter& writer, Name::CompressionTable* table) const {
@@ -10,14 +12,6 @@ void Question::serialize(WireWriter& writer, Name::CompressionTable* table) cons
   }
   writer.u16(static_cast<std::uint16_t>(qtype));
   writer.u16(static_cast<std::uint16_t>(qclass));
-}
-
-Question Question::parse(WireReader& reader) {
-  Question q;
-  q.qname = Name::parse(reader);
-  q.qtype = static_cast<RRType>(reader.u16());
-  q.qclass = static_cast<RRClass>(reader.u16());
-  return q;
 }
 
 std::string Question::to_string() const {
@@ -76,19 +70,7 @@ void ResourceRecord::serialize(WireWriter& writer,
 }
 
 ResourceRecord ResourceRecord::parse(WireReader& reader) {
-  ResourceRecord rr;
-  rr.name = Name::parse(reader);
-  rr.type = static_cast<RRType>(reader.u16());
-  rr.rrclass = static_cast<RRClass>(reader.u16());
-  rr.ttl = reader.u32();
-  const std::uint16_t rdlength = reader.u16();
-  const std::size_t end = reader.offset() + rdlength;
-  rr.rdata = parse_rdata(rr.type, rdlength, reader);
-  // Typed parsers consume exactly rdlength (checked internally); raw
-  // fallback consumes it by construction. Normalize the cursor anyway so a
-  // short typed parse cannot desynchronize the section walk.
-  reader.seek(end);
-  return rr;
+  return grammar::walk_record(reader, grammar::RecordBuilder{});
 }
 
 std::string ResourceRecord::to_string() const {

@@ -19,7 +19,6 @@ struct Question {
 
   void serialize(WireWriter& writer,
                  Name::CompressionTable* table = nullptr) const;
-  static Question parse(WireReader& reader);
   std::string to_string() const;
 };
 

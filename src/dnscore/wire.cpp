@@ -55,13 +55,6 @@ void WireReader::seek(std::size_t offset) {
   pos_ = offset;
 }
 
-std::uint8_t WireReader::peek_at(std::size_t offset) const {
-  if (offset >= data_.size()) {
-    throw WireFormatError("peek beyond buffer: " + std::to_string(offset));
-  }
-  return data_[offset];
-}
-
 // The appends below are the one sanctioned growth site on the noalloc
 // packet path: in external (pooled) mode the buffer arrived from a
 // BufferPool with capacity converged on the run's packet sizes, so the

@@ -45,8 +45,6 @@ class WireReader {
   ECSDNS_NOALLOC void skip(std::size_t n);
   // Repositions the cursor (used to follow DNS name-compression pointers).
   ECSDNS_NOALLOC void seek(std::size_t offset);
-  // Peek a byte at an absolute offset without moving the cursor.
-  ECSDNS_NOALLOC std::uint8_t peek_at(std::size_t offset) const;
 
  private:
   ECSDNS_NOALLOC void require(std::size_t n) const;

@@ -5,10 +5,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "dnscore/message_view.h"
 #include "fuzz/oracles.h"
+#include "fuzz/wire_rejects.h"
 
 namespace ecsdns::dnscore {
 namespace {
@@ -132,24 +135,40 @@ TEST(MessageView, QnameDecodesThroughCompressionPointers) {
   EXPECT_EQ(view.qname(), Name::from_string("deep.www.example.com"));
 }
 
+// The WireFormatError::what() `read` throws, or "" when it accepts.
+template <class Read>
+std::string what_of(Read read) {
+  try {
+    read();
+  } catch (const WireFormatError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Every reject rule of the wire grammar, plus a truncated header: both
+// readers throw the rule's error on the malformed message and accept its
+// one-byte-fixed neighbour.
 TEST(MessageView, RejectsWhatMessageParseRejects) {
-  // Truncated header.
-  const std::uint8_t tiny[] = {0, 1, 2};
-  EXPECT_THROW(MessageView({tiny, 3}), WireFormatError);
-  // Trailing garbage.
-  Message q = Message::make_query(4, Name::from_string("x.org"), RRType::A);
-  auto wire = wire_of(q);
-  wire.push_back(0x00);
-  EXPECT_THROW(MessageView({wire.data(), wire.size()}), WireFormatError);
-  // Duplicate OPT.
-  Message o = Message::make_query(9, Name::from_string("x.org"), RRType::A);
-  o.opt = OptRecord{};
-  auto dup = wire_of(o);
-  WireWriter extra;
-  OptRecord{}.serialize(extra);
-  dup.insert(dup.end(), extra.data().begin(), extra.data().end());
-  dup[11] = 2;  // ARCOUNT low byte
-  EXPECT_THROW(MessageView({dup.data(), dup.size()}), WireFormatError);
+  const auto cases = fuzz::wire_reject_cases();
+  EXPECT_EQ(cases.size(), 14u);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::span<const std::uint8_t> broken(c.broken);
+    EXPECT_EQ(what_of([&] { Message::parse(broken); }), c.what);
+    EXPECT_EQ(what_of([&] { MessageView view(broken); }), c.what);
+
+    const std::vector<std::uint8_t> fixed = c.fixed();
+    ASSERT_LE(fixed.size(), c.broken.size() + 1);
+    std::size_t changed = fixed.size() - c.broken.size();
+    for (std::size_t i = 0; i < c.broken.size(); ++i) {
+      changed += fixed[i] != c.broken[i] ? 1u : 0u;
+    }
+    EXPECT_EQ(changed, 1u);
+    EXPECT_EQ(what_of([&] { Message::parse(fixed); }), "");
+    EXPECT_EQ(what_of([&] { MessageView view(fixed); }), "");
+    fuzz::check_message_view(fixed.data(), fixed.size());
+  }
 }
 
 // The contract the whole zero-copy path rests on: MessageView and

@@ -114,6 +114,60 @@ TEST(MessageViewNoalloc, ConstructionIsAllocationFree) {
     ASSERT_EQ(view.ecs_payload().size(), 0u);
   }
   EXPECT_EQ(allocs(), before) << "MessageView construction allocated";
+
+  // The view runs the rdata and OPT walks the allocating parser runs, so a
+  // response carrying every modelled rdata type, an unmodelled one, an
+  // owner name past Name's inline capacity and an OPT with ECS and a
+  // cookie must be walked without allocating too.
+  using dnscore::MxRdata;
+  using dnscore::PtrRdata;
+  using dnscore::RawRdata;
+  using dnscore::ResourceRecord;
+  const Name zone = Name::from_string("example.org");
+  const Name long_owner = Name::from_string(
+      "a-deliberately-long-owner-label.beyond-inline-storage.example.org");
+  ASSERT_GT(long_owner.wire_length(), 46u);
+  ASSERT_FALSE(long_owner.is_inline());
+  Message ecs_query = Message::make_query(9, long_owner, RRType::A);
+  ecs_query.set_ecs(dnscore::EcsOption::for_query(
+      dnscore::Prefix::parse("198.51.100.0/24")));
+  Message reply = Message::make_response(ecs_query);
+  reply.set_ecs(dnscore::EcsOption::for_response(
+      dnscore::Prefix::parse("198.51.100.0/24"), 24));
+  reply.opt->add_option(dnscore::EdnsOption{
+      static_cast<std::uint16_t>(dnscore::EdnsOptionCode::COOKIE),
+      {1, 2, 3, 4, 5, 6, 7, 8}});
+  reply.answers.push_back(ResourceRecord::make_a(
+      long_owner, 60, dnscore::IpAddress::v4(192, 0, 2, 1)));
+  reply.answers.push_back(ResourceRecord::make_aaaa(
+      long_owner, 60, dnscore::IpAddress::parse("2001:db8::1")));
+  reply.answers.push_back(ResourceRecord::make_cname(
+      zone.prepend("alias"), 60, long_owner));
+  reply.answers.push_back(ResourceRecord{zone.prepend("1"), RRType::PTR,
+                                     dnscore::RRClass::IN, 60,
+                                     PtrRdata{long_owner}});
+  reply.answers.push_back(ResourceRecord{zone, RRType::MX, dnscore::RRClass::IN,
+                                     60, MxRdata{10, zone.prepend("mail")}});
+  reply.answers.push_back(ResourceRecord::make_txt(zone, 60, "v=spf1 -all"));
+  reply.answers.push_back(ResourceRecord{zone, static_cast<RRType>(99),
+                                     dnscore::RRClass::IN, 60,
+                                     RawRdata{99, {1, 2, 3}}});
+  reply.authorities.push_back(ResourceRecord::make_ns(zone, 300, zone.prepend("ns1")));
+  reply.authorities.push_back(ResourceRecord::make_soa(
+      zone, 300, zone.prepend("ns1"), zone.prepend("hostmaster"), 1, 60));
+  for (const bool compress : {false, true}) {
+    SCOPED_TRACE(compress ? "compressed" : "uncompressed");
+    const std::vector<std::uint8_t> reply_wire = reply.serialize(compress);
+    const auto reply_before = allocs();
+    for (int i = 0; i < 50; ++i) {
+      MessageView view(reply_wire);
+      ASSERT_EQ(view.answer_count(), 7u);
+      ASSERT_EQ(view.authority_count(), 2u);
+      ASSERT_TRUE(view.has_ecs());
+      ASSERT_EQ(view.ecs_payload().size(), 7u);
+    }
+    EXPECT_EQ(allocs(), reply_before) << "MessageView construction allocated";
+  }
 }
 
 // The live-wire steady state: a ServerShard driving recv -> serve_wire ->

@@ -102,8 +102,6 @@ TEST(WireReader, SeekBounds) {
   r.seek(3);  // one-past-end is allowed (cursor at end)
   EXPECT_TRUE(r.at_end());
   EXPECT_THROW(r.seek(4), WireFormatError);
-  EXPECT_THROW(r.peek_at(3), WireFormatError);
-  EXPECT_EQ(r.peek_at(1), 2);
 }
 
 TEST(WireReader, SeekOnEmptyBuffer) {
@@ -112,7 +110,6 @@ TEST(WireReader, SeekOnEmptyBuffer) {
   r.seek(0);  // one-past-end of an empty buffer is offset 0
   EXPECT_TRUE(r.at_end());
   EXPECT_THROW(r.seek(1), WireFormatError);
-  EXPECT_THROW(r.peek_at(0), WireFormatError);
   EXPECT_THROW(r.u8(), WireFormatError);
 }
 
@@ -129,16 +126,6 @@ TEST(WireReader, ReadsAfterSeekToEndThrow) {
   // A failed read leaves the cursor usable.
   r.seek(2);
   EXPECT_EQ(r.u8(), 3);
-}
-
-TEST(WireReader, PeekAtDoesNotMoveCursor) {
-  const std::uint8_t buf[] = {0xaa, 0xbb, 0xcc};
-  WireReader r({buf, 3});
-  EXPECT_EQ(r.peek_at(2), 0xcc);
-  EXPECT_EQ(r.offset(), 0u);
-  EXPECT_EQ(r.u8(), 0xaa);
-  EXPECT_THROW(r.peek_at(4), WireFormatError);
-  EXPECT_EQ(r.offset(), 1u);
 }
 
 TEST(WireReader, BytesReturnsView) {
